@@ -594,58 +594,6 @@ func BenchmarkExecuteParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchVsRow measures the vectorized batch runtime against the
-// row-at-a-time reference on the Q3 and Q5 cores: eager plans at sf 1
-// and 4, single-threaded (the two runtimes produce bit-identical
-// results, so the ns/op and rows/s ratios are pure runtime speedups).
-// The batch axis varies the rows-per-batch granularity around the
-// default (1024). The acceptance bar is ≥2x rows/s over runtime=row on
-// the Q3 core at sf ≥ 4.
-func BenchmarkBatchVsRow(b *testing.B) {
-	type rtCase struct {
-		name string
-		opts engine.ExecOptions
-	}
-	cases := []rtCase{
-		{"runtime=row", engine.ExecOptions{Workers: 1}},
-		{"runtime=batch/batch=256", engine.ExecOptions{Workers: 1, Runtime: engine.RuntimeBatch, BatchSize: 256}},
-		{"runtime=batch/batch=1024", engine.ExecOptions{Workers: 1, Runtime: engine.RuntimeBatch, BatchSize: 1024}},
-		{"runtime=batch/batch=4096", engine.ExecOptions{Workers: 1, Runtime: engine.RuntimeBatch, BatchSize: 4096}},
-	}
-	for _, qn := range []string{"Q3", "Q5"} {
-		q := tpch.Queries()[qn]
-		res, err := core.Optimize(q, core.Options{Algorithm: core.AlgEAPrune, Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sf := range []float64{1, 4} {
-			tables := tpch.GenerateTables(rand.New(rand.NewSource(1)), q, tpch.ExecutionScaleAt(qn, sf))
-			for _, c := range cases {
-				b.Run(fmt.Sprintf("query=%s/sf=%g/%s", qn, sf, c.name), func(b *testing.B) {
-					b.ReportAllocs()
-					var rows float64
-					for i := 0; i < b.N; i++ {
-						_, stats, err := engine.ExecProfiledOpts(q, res.Plan, tables, c.opts)
-						if err != nil {
-							b.Fatal(err)
-						}
-						// The final result can be legitimately empty at a
-						// small scale factor (Q5's filters at sf 1); zero
-						// rows at every operator means it didn't run.
-						if stats.ActualCout == 0 {
-							b.Fatal("plan produced no rows at any operator")
-						}
-						rows += stats.ActualCout
-					}
-					if secs := b.Elapsed().Seconds(); secs > 0 {
-						b.ReportMetric(rows/secs, "rows/s")
-					}
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkBeamWidths evaluates the beam-search extension (our
 // contribution in the paper's future-work direction): per width, the
 // runtime is the benchmark time and the reported metric is the average

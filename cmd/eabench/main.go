@@ -12,7 +12,6 @@
 //	eabench -exec -sf 50 -workers 0  # parallel execution on all cores
 //	eabench -exec -feedback -sf 1    # cardinality feedback loop report
 //	eabench -exec -phys auto -sf 10  # sort-based physical layer competing
-//	eabench -exec -runtime batch     # batch-at-a-time columnar execution
 //	eabench -exec -query Q3 -trace trace.json   # Chrome trace-event JSON (Perfetto)
 //	eabench -exec -json              # machine-readable JSON report
 //	eabench -serve -sf 1             # service layer: concurrent sessions, shared engine
@@ -42,12 +41,6 @@
 // report's sorts column shows performed/eliminated sorts, the eliminated
 // ones being reused interesting orders. Results are identical across all
 // three modes.
-//
-// -runtime (requires -exec or -serve) selects the execution runtime:
-// "row" (default) executes operators row at a time — the reference — and
-// "batch" executes them batch at a time over columnar vectors with typed
-// per-column kernels. Results are bit-identical between the two (float
-// sums included); only the wall times change.
 //
 // The -serve mode (mutually exclusive with -exec) measures the embedded
 // query-service layer: one engine — shared worker pool, plan cache, and
@@ -115,7 +108,6 @@ import (
 	"strings"
 
 	"eagg/internal/core"
-	"eagg/internal/engine"
 	"eagg/internal/experiments"
 	"eagg/internal/obs"
 )
@@ -142,7 +134,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	execMode := fs.Bool("exec", false, "execute optimized vs canonical plans on generated data instead of running optimizer benchmarks")
 	feedback := fs.Bool("feedback", false, "with -exec: close the cardinality feedback loop (optimize → execute → re-optimize with measured cardinalities until the plan is stable) and report q-error before/after; with -serve: enable the engine's shared feedback overlay")
 	phys := fs.String("phys", "", "with -exec or -serve: physical algebra — hash (default), sort (sort-merge join/aggregation), or auto (both compete; the sorts column reports performed/eliminated)")
-	runtimeName := fs.String("runtime", "", "with -exec or -serve: execution runtime — row (default, row-at-a-time reference) or batch (batch-at-a-time columnar vectors); results are bit-identical, only the wall times change")
 	sf := fs.Float64("sf", 10, "-exec/-serve: scale factor multiplying the base synthetic instance sizes (must be > 0)")
 	execQuery := fs.String("query", "", "-exec/-serve: comma-separated TPC-H queries (Ex, Q3, Q5, Q10); empty = all")
 	serve := fs.Bool("serve", false, "run the service-layer throughput mode: one shared engine (plan cache, shared scheduler, optional -feedback overlay) serving -sessions concurrent sessions replaying the selected query shapes; reports qps and p50/p99 latency")
@@ -200,15 +191,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	physMode, err := core.ParsePhysMode(*phys)
 	if err != nil {
 		fmt.Fprintf(stderr, "eabench: -phys: %v\n", err)
-		return 2
-	}
-	if *runtimeName != "" && !*execMode && !*serve && !*large {
-		fmt.Fprintln(stderr, "eabench: -runtime requires -exec, -serve or -large (the execution runtime only matters when plans are executed)")
-		return 2
-	}
-	execRuntime, err := engine.ParseRuntime(*runtimeName)
-	if err != nil {
-		fmt.Fprintf(stderr, "eabench: -runtime: %v\n", err)
 		return 2
 	}
 	if (*execMode || *serve) && !(*sf > 0) { // rejects NaN too, unlike *sf <= 0
@@ -339,7 +321,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		MaxNExhaustive: *maxNExh,
 		Workers:        *workers,
 		Phys:           physMode,
-		Runtime:        execRuntime,
 		Trace:          trace,
 	}
 

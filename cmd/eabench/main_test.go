@@ -19,8 +19,7 @@ func TestFlagHygiene(t *testing.T) {
 	}{
 		{"phys without exec", []string{"-phys", "sort"}, "-phys requires -exec"},
 		{"unknown phys value", []string{"-exec", "-phys", "bogus"}, "unknown physical mode"},
-		{"runtime without exec", []string{"-runtime", "batch"}, "-runtime requires -exec"},
-		{"unknown runtime value", []string{"-exec", "-runtime", "vector"}, "unknown runtime"},
+		{"removed runtime flag", []string{"-exec", "-runtime", "batch"}, "flag provided but not defined: -runtime"},
 		{"feedback without exec", []string{"-feedback"}, "-feedback requires -exec"},
 		{"negative workers", []string{"-workers", "-2"}, "-workers must be"},
 		{"bad sf", []string{"-exec", "-sf", "0"}, "-sf must be > 0"},
@@ -78,28 +77,6 @@ func TestExecPhysRuns(t *testing.T) {
 		if mode != "hash" && !strings.Contains(out.String(), "/") {
 			t.Fatalf("-phys %s: report has no sorts column values\n%s", mode, out.String())
 		}
-	}
-}
-
-// TestExecRuntimeRuns drives the -exec mode end to end per execution
-// runtime on the smallest instance: exit 0 (the batch runtime reproduces
-// the canonical result bit for bit) and the report header naming the
-// runtime. -runtime batch also composes with -serve.
-func TestExecRuntimeRuns(t *testing.T) {
-	for _, rt := range []string{"row", "batch"} {
-		var out, errOut bytes.Buffer
-		code := run([]string{"-exec", "-runtime", rt, "-sf", "0.2", "-query", "Q3"}, &out, &errOut)
-		if code != 0 {
-			t.Fatalf("-runtime %s: exit %d\nstderr: %s\nstdout: %s", rt, code, errOut.String(), out.String())
-		}
-		if !strings.Contains(out.String(), "runtime "+rt) {
-			t.Fatalf("-runtime %s: report header missing the runtime\n%s", rt, out.String())
-		}
-	}
-	var out, errOut bytes.Buffer
-	args := []string{"-serve", "-runtime", "batch", "-sf", "0.2", "-query", "Q3", "-sessions", "2", "-requests", "4"}
-	if code := run(args, &out, &errOut); code != 0 {
-		t.Fatalf("%v: exit %d\nstderr: %s", args, code, errOut.String())
 	}
 }
 
@@ -268,7 +245,6 @@ func TestJSONMode(t *testing.T) {
 	var execRep struct {
 		Mode     string `json:"mode"`
 		Phys     string `json:"phys"`
-		Runtime  string `json:"runtime"`
 		AllMatch bool   `json:"all_match"`
 		Rows     []struct {
 			Query string
@@ -278,7 +254,7 @@ func TestJSONMode(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &execRep); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v\n%s", err, out.String())
 	}
-	if execRep.Mode != "exec" || execRep.Phys != "hash" || execRep.Runtime != "row" {
+	if execRep.Mode != "exec" || execRep.Phys != "hash" {
 		t.Errorf("unexpected header: %+v", execRep)
 	}
 	if !execRep.AllMatch || len(execRep.Rows) != 2 {

@@ -106,18 +106,36 @@ func loadSpec(path string) (*query.Query, error) {
 		return nil, fmt.Errorf("parsing spec: %w", err)
 	}
 
+	// Every attribute name is checked against the declared set before it
+	// reaches the query builder, which treats duplicate and unknown names
+	// as programming errors (it panics); in a spec they are input errors.
 	q := query.New()
 	relByName := map[string]int{}
+	attrByName := map[string]int{}
+	attrIDs := func(names []string) ([]int, error) {
+		ids := make([]int, len(names))
+		for i, name := range names {
+			id, ok := attrByName[name]
+			if !ok {
+				return nil, fmt.Errorf("unknown attribute %q", name)
+			}
+			ids[i] = id
+		}
+		return ids, nil
+	}
 	for _, r := range sf.Relations {
 		id := q.AddRelation(r.Name, r.Card)
 		relByName[r.Name] = id
 		for _, a := range r.Attrs {
-			q.AddAttr(id, a.Name, a.Distinct)
+			if _, dup := attrByName[a.Name]; dup {
+				return nil, fmt.Errorf("relation %q: duplicate attribute %q", r.Name, a.Name)
+			}
+			attrByName[a.Name] = q.AddAttr(id, a.Name, a.Distinct)
 		}
 		for _, k := range r.Keys {
-			ids := make([]int, len(k))
-			for i, name := range k {
-				ids[i] = q.AttrID(name)
+			ids, err := attrIDs(k)
+			if err != nil {
+				return nil, fmt.Errorf("relation %q key: %w", r.Name, err)
 			}
 			q.AddKey(id, ids...)
 		}
@@ -150,11 +168,13 @@ func loadSpec(path string) (*query.Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		left := make([]int, len(n.Pred.Left))
-		right := make([]int, len(n.Pred.Right))
-		for i := range n.Pred.Left {
-			left[i] = q.AttrID(n.Pred.Left[i])
-			right[i] = q.AttrID(n.Pred.Right[i])
+		left, err := attrIDs(n.Pred.Left)
+		if err != nil {
+			return nil, fmt.Errorf("operator %q predicate: %w", n.Op, err)
+		}
+		right, err := attrIDs(n.Pred.Right)
+		if err != nil {
+			return nil, fmt.Errorf("operator %q predicate: %w", n.Op, err)
 		}
 		return &query.OpNode{
 			Kind: kind, Left: l, Right: r,
@@ -168,15 +188,18 @@ func loadSpec(path string) (*query.Query, error) {
 	q.Root = root
 
 	if len(sf.GroupBy) > 0 || len(sf.Aggs) > 0 {
-		var g []int
-		for _, name := range sf.GroupBy {
-			g = append(g, q.AttrID(name))
+		g, err := attrIDs(sf.GroupBy)
+		if err != nil {
+			return nil, fmt.Errorf("groupBy: %w", err)
 		}
 		var f aggfn.Vector
 		for _, a := range sf.Aggs {
 			kind, ok := fnByName[a.Fn]
 			if !ok {
 				return nil, fmt.Errorf("unknown aggregate %q", a.Fn)
+			}
+			if _, ok := attrByName[a.Arg]; a.Arg != "" && !ok {
+				return nil, fmt.Errorf("aggregate %q: unknown attribute %q", a.Out, a.Arg)
 			}
 			f = append(f, aggfn.Agg{Out: a.Out, Kind: kind, Arg: a.Arg})
 		}

@@ -67,6 +67,28 @@ func TestLoadSpecErrors(t *testing.T) {
 			"tree":{"op":"join","left":{"scan":"a"},"right":{"scan":"b"},
 			"pred":{"left":["x"],"right":["y"],"selectivity":0.5}},
 			"aggregates":[{"out":"z","fn":"median","arg":"x"}]}`},
+		{"dupattr.json", `{"relations":[{"name":"a","card":1,"attrs":[{"name":"x","distinct":1},{"name":"x","distinct":2}]},
+			{"name":"b","card":1,"attrs":[{"name":"y","distinct":1}]}],
+			"tree":{"op":"join","left":{"scan":"a"},"right":{"scan":"b"},
+			"pred":{"left":["x"],"right":["y"],"selectivity":0.5}}}`},
+		{"unknownkey.json", `{"relations":[{"name":"a","card":1,"attrs":[{"name":"x","distinct":1}],"keys":[["nope"]]},
+			{"name":"b","card":1,"attrs":[{"name":"y","distinct":1}]}],
+			"tree":{"op":"join","left":{"scan":"a"},"right":{"scan":"b"},
+			"pred":{"left":["x"],"right":["y"],"selectivity":0.5}}}`},
+		{"unknownpred.json", `{"relations":[{"name":"a","card":1,"attrs":[{"name":"x","distinct":1}]},
+			{"name":"b","card":1,"attrs":[{"name":"y","distinct":1}]}],
+			"tree":{"op":"join","left":{"scan":"a"},"right":{"scan":"b"},
+			"pred":{"left":["x"],"right":["nope"],"selectivity":0.5}}}`},
+		{"unknowngroup.json", `{"relations":[{"name":"a","card":1,"attrs":[{"name":"x","distinct":1}]},
+			{"name":"b","card":1,"attrs":[{"name":"y","distinct":1}]}],
+			"tree":{"op":"join","left":{"scan":"a"},"right":{"scan":"b"},
+			"pred":{"left":["x"],"right":["y"],"selectivity":0.5}},
+			"groupBy":["nope"],"aggregates":[{"out":"c","fn":"count(*)"}]}`},
+		{"unknownaggarg.json", `{"relations":[{"name":"a","card":1,"attrs":[{"name":"x","distinct":1}]},
+			{"name":"b","card":1,"attrs":[{"name":"y","distinct":1}]}],
+			"tree":{"op":"join","left":{"scan":"a"},"right":{"scan":"b"},
+			"pred":{"left":["x"],"right":["y"],"selectivity":0.5}},
+			"groupBy":["x"],"aggregates":[{"out":"s","fn":"sum","arg":"nope"}]}`},
 	}
 	for _, c := range cases {
 		p := write(c.name, c.content)

@@ -235,23 +235,6 @@ const (
 // ParsePhysMode resolves "hash", "sort" or "auto" ("" = hash).
 func ParsePhysMode(s string) (PhysMode, error) { return core.ParsePhysMode(s) }
 
-// ExecRuntime selects the execution runtime: row-at-a-time (default,
-// the reference) or batch-at-a-time columnar vectors (see
-// ExecOptions.Runtime and the README's "-runtime" section). Results are
-// bit-identical between the two.
-type ExecRuntime = engine.Runtime
-
-// The execution runtimes.
-const (
-	// RuntimeRow executes plans row at a time (the default).
-	RuntimeRow = engine.RuntimeRow
-	// RuntimeBatch executes plans batch at a time on columnar vectors.
-	RuntimeBatch = engine.RuntimeBatch
-)
-
-// ParseExecRuntime resolves "row" or "batch" ("" = row).
-func ParseExecRuntime(s string) (ExecRuntime, error) { return engine.ParseRuntime(s) }
-
 // The plan generators: the paper's five (Sec. 4) plus the beam extension.
 const (
 	// DPhyp is the baseline: optimal join ordering, grouping stays on top.

@@ -8,12 +8,15 @@ import (
 	"eagg/internal/aggfn"
 )
 
-// Differential tests of the batch runtime against the row runtime. TPC-H
-// generated data is all-Int, so these tests build columns of every
-// physical kind — typed int/float/string with NULL bitmaps, mixed-kind
-// fallbacks, -0.0, NaN, integral floats — and assert that every batch
-// operator reproduces its row counterpart bit for bit, sequentially and
-// under the morsel-parallel variants, across batch sizes.
+// Differential tests of the batch operators against the map-tuple
+// reference operators (joins.go, grouping.go). TPC-H generated data is
+// all-Int, so these tests build columns of every physical kind — typed
+// int/float/string with NULL bitmaps, mixed-kind fallbacks, -0.0, NaN,
+// integral floats — and assert that every batch operator reproduces the
+// reference result tuple for tuple, in the reference order, sequentially
+// and under the morsel-parallel variants, across batch sizes; and that
+// every (workers, batch size) configuration is bit-identical to the
+// sequential one.
 
 // batchExecs is the (workers, morsel, batch-size) matrix every
 // differential test runs. Explicit morsel sizes force the parallel
@@ -51,6 +54,54 @@ func identicalRows(t *testing.T, label string, want, got *Table) {
 			}
 		}
 	}
+}
+
+// sameAsRef fails unless got holds exactly the reference relation's
+// tuples in the reference order, compared over got's schema. Values
+// compare by their exact rendering (kind-tagged; floats round-trip, so
+// -0.0 ≠ +0.0; all NaNs render alike).
+func sameAsRef(t *testing.T, label string, want *Rel, got *ColTable) {
+	t.Helper()
+	names := got.Schema.Names()
+	if len(want.Attrs) != len(names) {
+		t.Fatalf("%s: schema %v, reference %v", label, names, want.Attrs)
+	}
+	for _, a := range names {
+		if !want.HasAttr(a) {
+			t.Fatalf("%s: schema %v, reference %v", label, names, want.Attrs)
+		}
+	}
+	gr := got.Table().Rel()
+	if len(want.Tuples) != len(gr.Tuples) {
+		t.Fatalf("%s: %d rows, reference %d\ngot:\n%v\nwant:\n%v", label, len(gr.Tuples), len(want.Tuples), gr, want)
+	}
+	for i := range want.Tuples {
+		if encodeTuple(want.Tuples[i], names) != encodeTuple(gr.Tuples[i], names) {
+			t.Fatalf("%s: row %d differs\ngot:\n%v\nwant:\n%v", label, i, gr, want)
+		}
+	}
+}
+
+// keyPred is the reference predicate of paired key slots: a conjunction
+// of strict attribute equalities.
+func keyPred(ls, rs *Schema, lk, rk []int) Pred {
+	var ps []Pred
+	for i := range lk {
+		ps = append(ps, EqAttr(ls.Name(lk[i]), rs.Name(rk[i])))
+	}
+	return AndPred(ps...)
+}
+
+// defaultsOf is the reference default vector of a padding row: its
+// non-NULL entries.
+func defaultsOf(s *Schema, pad Row) Defaults {
+	d := Defaults{}
+	for i, v := range pad {
+		if !v.IsNull() {
+			d[s.Name(i)] = v
+		}
+	}
+	return d
 }
 
 // mixedKey produces a key-domain value cycling through every kind the
@@ -120,6 +171,9 @@ func batchTestTables() (l, r *Table) {
 	return l, r
 }
 
+// TestBatchJoinsMatchRow checks every batch join against the map-tuple
+// reference operator, and every configuration against the sequential
+// one bit for bit.
 func TestBatchJoinsMatchRow(t *testing.T) {
 	l, r := batchTestTables()
 	keySets := []struct {
@@ -138,28 +192,36 @@ func TestBatchJoinsMatchRow(t *testing.T) {
 	lpad := NullRow(l.Schema)
 	lpad[0] = Int(7)
 
+	lr, rr := l.Rel(), r.Rel()
+	lc, rc := ColTableOf(l), ColTableOf(r)
 	for _, ks := range keySets {
-		lc, rc := ColTableOf(l), ColTableOf(r)
+		pred := keyPred(l.Schema, r.Schema, ks.lk, ks.rk)
+		ref := map[string]*Rel{
+			"join":               Join(lr, rr, pred),
+			"semi":               SemiJoin(lr, rr, pred),
+			"anti":               AntiJoin(lr, rr, pred),
+			"leftouter-null":     LeftOuter(lr, rr, pred, nil),
+			"leftouter-defaults": LeftOuter(lr, rr, pred, defaultsOf(r.Schema, vpad)),
+			"fullouter":          FullOuter(lr, rr, pred, defaultsOf(l.Schema, lpad), defaultsOf(r.Schema, vpad)),
+		}
+		run := func(e *Exec) map[string]*ColTable {
+			return map[string]*ColTable{
+				"join":               e.BatchHashJoin(lc, rc, ks.lk, ks.rk),
+				"semi":               e.BatchHashSemiJoin(lc, rc, ks.lk, ks.rk),
+				"anti":               e.BatchHashAntiJoin(lc, rc, ks.lk, ks.rk),
+				"leftouter-null":     e.BatchHashLeftOuter(lc, rc, ks.lk, ks.rk, npad),
+				"leftouter-defaults": e.BatchHashLeftOuter(lc, rc, ks.lk, ks.rk, vpad),
+				"fullouter":          e.BatchHashFullOuter(lc, rc, ks.lk, ks.rk, lpad, vpad),
+			}
+		}
+		seq := run(NewExec(1))
 		for name, e := range batchExecs() {
-			prefix := fmt.Sprintf("%s/%s", ks.name, name)
-			identicalRows(t, prefix+"/join",
-				HashJoin(l, r, ks.lk, ks.rk),
-				e.BatchHashJoin(lc, rc, ks.lk, ks.rk).Table())
-			identicalRows(t, prefix+"/semi",
-				HashSemiJoin(l, r, ks.lk, ks.rk),
-				e.BatchHashSemiJoin(lc, rc, ks.lk, ks.rk).Table())
-			identicalRows(t, prefix+"/anti",
-				HashAntiJoin(l, r, ks.lk, ks.rk),
-				e.BatchHashAntiJoin(lc, rc, ks.lk, ks.rk).Table())
-			identicalRows(t, prefix+"/leftouter-null",
-				HashLeftOuter(l, r, ks.lk, ks.rk, npad),
-				e.BatchHashLeftOuter(lc, rc, ks.lk, ks.rk, npad).Table())
-			identicalRows(t, prefix+"/leftouter-defaults",
-				HashLeftOuter(l, r, ks.lk, ks.rk, vpad),
-				e.BatchHashLeftOuter(lc, rc, ks.lk, ks.rk, vpad).Table())
-			identicalRows(t, prefix+"/fullouter",
-				HashFullOuter(l, r, ks.lk, ks.rk, lpad, vpad),
-				e.BatchHashFullOuter(lc, rc, ks.lk, ks.rk, lpad, vpad).Table())
+			got := run(e)
+			for op, want := range ref {
+				label := fmt.Sprintf("%s/%s/%s", ks.name, name, op)
+				sameAsRef(t, label, want, got[op])
+				identicalRows(t, label+" ≡ sequential", seq[op].Table(), got[op].Table())
+			}
 		}
 	}
 }
@@ -245,17 +307,23 @@ func aggTestVector() aggfn.Vector {
 	}
 }
 
+// TestBatchGroupMatchesRow checks batch aggregation of every aggregate
+// kind against the reference Group, and every configuration against the
+// sequential one bit for bit.
 func TestBatchGroupMatchesRow(t *testing.T) {
 	tb := aggColumnsTable()
 	f := aggTestVector()
+	tc := ColTableOf(tb)
 	for _, groupBy := range [][]string{
 		{"g1"}, {"g2"}, {"g1", "g2"}, {"af"}, {"absent"}, {},
 	} {
-		want := HashGroup(tb, groupBy, f)
-		tc := ColTableOf(tb)
+		want := Group(tb.Rel(), groupBy, f)
+		seq := NewExec(1).BatchHashGroup(tc, groupBy, f).Table()
 		for name, e := range batchExecs() {
-			got := e.BatchHashGroup(tc, groupBy, f).Table()
-			identicalRows(t, fmt.Sprintf("group%v/%s", groupBy, name), want, got)
+			label := fmt.Sprintf("group%v/%s", groupBy, name)
+			got := e.BatchHashGroup(tc, groupBy, f)
+			sameAsRef(t, label, want, got)
+			identicalRows(t, label+" ≡ sequential", seq, got.Table())
 		}
 	}
 }
@@ -269,11 +337,13 @@ func TestBatchGroupJoinMatchesRow(t *testing.T) {
 		{Out: "mw", Kind: aggfn.Max, Arg: "rw"},
 		{Out: "cs", Kind: aggfn.CountDistinct, Arg: "rs"},
 	}
-	want := HashGroupJoin(l, r, []int{1}, []int{1}, f)
+	want := GroupJoin(l.Rel(), r.Rel(), EqAttr("lkm", "rkm"), f)
 	lc, rc := ColTableOf(l), ColTableOf(r)
+	seq := NewExec(1).BatchHashGroupJoin(lc, rc, []int{1}, []int{1}, f).Table()
 	for name, e := range batchExecs() {
-		got := e.BatchHashGroupJoin(lc, rc, []int{1}, []int{1}, f).Table()
-		identicalRows(t, "groupjoin/"+name, want, got)
+		got := e.BatchHashGroupJoin(lc, rc, []int{1}, []int{1}, f)
+		sameAsRef(t, "groupjoin/"+name, want, got)
+		identicalRows(t, "groupjoin/"+name+" ≡ sequential", seq, got.Table())
 	}
 }
 
@@ -289,32 +359,32 @@ func TestBatchSelectionChaining(t *testing.T) {
 		{Out: "sf", Kind: aggfn.Sum, Arg: "lf"},
 		{Out: "mx", Kind: aggfn.Max, Arg: "lid"},
 	}
-	wantSemi := HashSemiJoin(l, r, lk, rk)
-	wantGroup := HashGroup(wantSemi, []string{"ls"}, f)
-	wantAnti := HashAntiJoin(l, r, lk, rk)
-	wantJoin := HashJoin(wantAnti, r, lk, rk) // empty by construction, still must agree
-	wantBuild := HashJoin(r, wantSemi, rk, lk)
-	wantGJ := HashGroupJoin(r, wantSemi, rk, lk, aggfn.Vector{
+	gjVec := aggfn.Vector{
 		{Out: "n", Kind: aggfn.CountStar},
 		{Out: "s", Kind: aggfn.Sum, Arg: "lf"},
-	})
+	}
+	lr, rr := l.Rel(), r.Rel()
+	pred, rpred := EqAttr("lkm", "rkm"), EqAttr("rkm", "lkm")
+	wantSemi := SemiJoin(lr, rr, pred)
+	wantGroup := Group(wantSemi, []string{"ls"}, f)
+	wantAnti := AntiJoin(lr, rr, pred)
+	wantJoin := Join(wantAnti, rr, pred) // empty by construction, still must agree
+	wantBuild := Join(rr, wantSemi, rpred)
+	wantGJ := GroupJoin(rr, wantSemi, rpred, gjVec)
 
 	lc, rc := ColTableOf(l), ColTableOf(r)
 	for name, e := range batchExecs() {
 		semi := e.BatchHashSemiJoin(lc, rc, lk, rk)
-		identicalRows(t, "chain-semi/"+name, wantSemi, semi.Table())
-		identicalRows(t, "chain-semi-group/"+name, wantGroup,
-			e.BatchHashGroup(semi, []string{"ls"}, f).Table())
+		sameAsRef(t, "chain-semi/"+name, wantSemi, semi)
+		sameAsRef(t, "chain-semi-group/"+name, wantGroup,
+			e.BatchHashGroup(semi, []string{"ls"}, f))
 		anti := e.BatchHashAntiJoin(lc, rc, lk, rk)
-		identicalRows(t, "chain-anti-join/"+name, wantJoin,
-			e.BatchHashJoin(anti, rc, lk, rk).Table())
-		identicalRows(t, "chain-build-sel/"+name, wantBuild,
-			e.BatchHashJoin(rc, semi, rk, lk).Table())
-		identicalRows(t, "chain-gj-sel/"+name, wantGJ,
-			e.BatchHashGroupJoin(rc, semi, rk, lk, aggfn.Vector{
-				{Out: "n", Kind: aggfn.CountStar},
-				{Out: "s", Kind: aggfn.Sum, Arg: "lf"},
-			}).Table())
+		sameAsRef(t, "chain-anti-join/"+name, wantJoin,
+			e.BatchHashJoin(anti, rc, lk, rk))
+		sameAsRef(t, "chain-build-sel/"+name, wantBuild,
+			e.BatchHashJoin(rc, semi, rk, lk))
+		sameAsRef(t, "chain-gj-sel/"+name, wantGJ,
+			e.BatchHashGroupJoin(rc, semi, rk, lk, gjVec))
 	}
 }
 
@@ -349,61 +419,164 @@ func TestBatchExtendProductMatchesRow(t *testing.T) {
 			Int(int64(i)), Int(int64(i%3 + 1)), w2, Float(float64(i) * 0.5),
 		})
 	}
+	tc := ColTableOf(tb)
 	for _, attrs := range [][]string{{"w1", "w2"}, {"w1", "wf"}} {
 		slots := s.Slots(attrs)
-		want := ExtendTable(tb, "prod", func(row Row) Value {
+		want := Map(tb.Rel(), map[string]func(Tuple) Value{"prod": func(tu Tuple) Value {
 			v := Int(1)
-			for _, sl := range slots {
-				v = Mul(v, row[sl])
+			for _, a := range attrs {
+				v = Mul(v, tu.Get(a))
 			}
 			return v
-		})
-		tc := ColTableOf(tb)
+		}})
+		seq := NewExec(1).BatchExtendProduct(tc, "prod", slots).Table()
 		for name, e := range batchExecs() {
-			got := e.BatchExtendProduct(tc, "prod", slots).Table()
-			identicalRows(t, fmt.Sprintf("product%v/%s", attrs, name), want, got)
+			label := fmt.Sprintf("product%v/%s", attrs, name)
+			got := e.BatchExtendProduct(tc, "prod", slots)
+			sameAsRef(t, label, want, got)
+			identicalRows(t, label+" ≡ sequential", seq, got.Table())
 		}
 	}
 }
 
-// TestBuildSidePostings pins that the scratch-buffer-reusing key encoding
-// leaves posting lists exactly as a fresh-buffer-per-row build produces
-// them (satellite of the buffer-reuse change): same keys, same row
-// indices, same order — including string keys sharing prefixes, where a
-// buffer aliasing bug would show first.
+// postingsModel is the nested-loop ground truth of a hash build: for
+// every probe row, the build rows whose keys equal it under strict join
+// equality (EqStrict on every component), in build-input order.
+func postingsModel(build, probe *Table, rk, pk []int) [][]int32 {
+	out := make([][]int32, len(probe.Rows))
+	for i, prow := range probe.Rows {
+		for j, brow := range build.Rows {
+			match := true
+			for c := range rk {
+				if !EqStrict(prow[pk[c]], brow[rk[c]]) {
+					match = false
+					break
+				}
+			}
+			if match {
+				out[i] = append(out[i], int32(j))
+			}
+		}
+	}
+	return out
+}
+
+// distinctBuildKeys counts the model's distinct keys: build rows with a
+// partner among themselves (NULL/NaN keys have none) and no earlier one.
+func distinctBuildKeys(build *Table, rk []int) int {
+	n := 0
+	for j, posts := range postingsModel(build, build, rk, rk) {
+		if len(posts) > 0 && posts[0] == int32(j) {
+			n++
+		}
+	}
+	return n
+}
+
+// builtKeys counts the distinct keys a build holds, whichever table
+// backs it.
+func builtKeys(b *batchBuild) int {
+	switch {
+	case b.it != nil:
+		return b.it.n
+	case b.bt != nil:
+		return b.bt.n
+	}
+	n := 0
+	for _, p := range b.pt.parts {
+		if p != nil {
+			n += p.n
+		}
+	}
+	return n
+}
+
+// checkPostings probes the build with every row of probe on the pk slots
+// and compares each resolved posting list with the nested-loop model.
+func checkPostings(t *testing.T, label string, e *Exec, b *batchBuild, build, probe *Table, rk, pk []int) {
+	t.Helper()
+	want := postingsModel(build, probe, rk, pk)
+	pc := ColTableOf(probe)
+	got := make([][]int32, pc.Card())
+	e.probePostings(pc, pk, b, 0, pc.Card(), func(rows []int32, posts [][]int32) {
+		for k, i := range rows {
+			got[i] = append([]int32(nil), posts[k]...)
+		}
+	})
+	for i := range want {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			t.Fatalf("%s: probe row %d (%v): postings %v, want %v", label, i, probe.Rows[i], got[i], want[i])
+		}
+	}
+}
+
+// TestBuildSidePostings pins the posting lists of every build path — the
+// sequential encoded-key table, the single-int fast path and the parallel
+// partitioned table — against the nested-loop model: same keys, same row
+// indices, same order. The cases include string keys sharing prefixes
+// (where a key-buffer aliasing bug would show first), Int(7) and
+// Float(7) sharing one posting list (join normalization), and no
+// postings for NULL or NaN keys. Probing the int build with float,
+// string and mixed columns covers every probe-side kind dispatch.
 func TestBuildSidePostings(t *testing.T) {
 	s := NewSchema([]string{"k", "v"})
-	tb := &Table{Schema: s}
-	keys := []Value{
+	mixed := &Table{Schema: s}
+	for i, k := range []Value{
 		Str("aa"), Str("aab"), Str("aa"), Str("a"), Null, Str("aab"),
 		Int(7), Float(7), Int(7), Float(7.5), Float(math.NaN()), Str("aa"),
+	} {
+		mixed.Rows = append(mixed.Rows, Row{k, Int(int64(i))})
 	}
-	for i, k := range keys {
-		tb.Rows = append(tb.Rows, Row{k, Int(int64(i))})
+	ints := &Table{Schema: s}
+	for i, k := range []Value{Int(7), Int(3), Null, Int(7), Int(-1), Int(3)} {
+		ints.Rows = append(ints.Rows, Row{k, Int(int64(i))})
+	}
+	probe := &Table{Schema: NewSchema([]string{"pf", "ps", "pm"})}
+	for _, row := range []Row{
+		{Float(7), Str("7"), Int(7)},
+		{Float(7.5), Null, Float(3)},
+		{Float(math.NaN()), Str("a"), Null},
+		{Null, Str("aa"), Float(math.NaN())},
+		{Float(3), Str("aab"), Str("aa")},
+		{Float(-1), Str("x"), Int(-1)},
+	} {
+		probe.Rows = append(probe.Rows, row)
 	}
 	rk := []int{0}
-	got := buildSide(tb, rk)
-	naive := map[string][]int32{}
-	for i, row := range tb.Rows {
-		if rowHasNullKey(row, rk) {
-			continue
+	for _, tc := range []struct {
+		name  string
+		build *Table
+		e     *Exec
+		par   bool
+	}{
+		{"seq-encoded", mixed, NewExec(1), false},
+		{"seq-int", ints, NewExec(1), false},
+		{"par-encoded", mixed, NewExec(4).WithMorselSize(3), true},
+		{"par-int", ints, NewExec(4).WithMorselSize(2), true},
+	} {
+		b := tc.e.buildHash(ColTableOf(tc.build), rk, tc.par, -1)
+		switch {
+		case tc.par && b.pt == nil,
+			!tc.par && tc.build == ints && b.it == nil,
+			!tc.par && tc.build == mixed && b.bt == nil:
+			t.Fatalf("%s: build took the wrong path", tc.name)
 		}
-		k := string(appendJoinKey(nil, row, rk))
-		naive[k] = append(naive[k], int32(i))
-	}
-	if len(got) != len(naive) {
-		t.Fatalf("posting table has %d keys, want %d", len(got), len(naive))
-	}
-	for k, want := range naive {
-		if fmt.Sprint(got[k]) != fmt.Sprint(want) {
-			t.Fatalf("postings for %q: got %v, want %v", k, got[k], want)
+		checkPostings(t, tc.name+"/self", tc.e, b, tc.build, tc.build, rk, rk)
+		for c := range probe.Schema.Names() {
+			checkPostings(t, fmt.Sprintf("%s/probe-%s", tc.name, probe.Schema.Name(c)), tc.e, b, tc.build, probe, rk, []int{c})
+		}
+		if got, want := builtKeys(b), distinctBuildKeys(tc.build, rk); got != want {
+			t.Fatalf("%s: build holds %d keys, want %d", tc.name, got, want)
 		}
 	}
-	// Int(7) and Float(7) must share a posting list (join normalization),
-	// and the NaN/NULL rows must be absent.
-	k7 := string(appendJoinKey(nil, Row{Int(7)}, []int{0}))
-	if fmt.Sprint(naive[k7]) != "[6 7 8]" {
-		t.Fatalf("normalized int/float postings = %v, want [6 7 8]", naive[k7])
+	// The model itself: Int(7) and Float(7) share a posting list, and the
+	// NULL/NaN rows have none.
+	model := postingsModel(mixed, mixed, rk, rk)
+	if fmt.Sprint(model[6]) != "[6 7 8]" {
+		t.Fatalf("normalized int/float postings = %v, want [6 7 8]", model[6])
+	}
+	if model[4] != nil || model[10] != nil {
+		t.Fatalf("NULL/NaN keys have postings: %v, %v", model[4], model[10])
 	}
 }
 
@@ -426,7 +599,7 @@ func TestDistinctScratchReuse(t *testing.T) {
 		{Out: "cd", Kind: aggfn.CountDistinct, Arg: "v"},
 		{Out: "sd", Kind: aggfn.SumDistinct, Arg: "n"},
 	}
-	got := HashGroup(tb, []string{"g"}, f)
+	got := NewExec(1).BatchHashGroup(ColTableOf(tb), []string{"g"}, f).Table()
 	want := [][2]int64{{2, 21}, {1, 3}} // a: {xx,xxy}, 5+7+9; b: {x}, 1+2
 	if len(got.Rows) != 2 {
 		t.Fatalf("got %d groups, want 2", len(got.Rows))
@@ -436,7 +609,7 @@ func TestDistinctScratchReuse(t *testing.T) {
 			t.Fatalf("group %d: got (%v, %v), want %v", i, got.Rows[i][1], got.Rows[i][2], w)
 		}
 	}
-	// And the batch runtime agrees.
+	// And every configuration agrees.
 	for name, e := range batchExecs() {
 		identicalRows(t, "distinct/"+name, got, e.BatchHashGroup(ColTableOf(tb), []string{"g"}, f).Table())
 	}

@@ -11,7 +11,7 @@ import (
 // kinds): typed columns get monomorphic loops over []int64 / []float64 /
 // []string payloads with no per-value kind dispatch; ColMixed columns,
 // absent arguments and the rare aggregate forms fall back to the shared
-// row-runtime accumulator core (aggCell.updateVals), which is
+// Value-level accumulator core (aggCell.updateVals), which is
 // bit-identical by construction.
 //
 // The typed kernels replicate the aggCell trajectories exactly:
@@ -485,7 +485,7 @@ func (g *batchGrouper) fold(j int, rows []int32) {
 				c.f += vals[i]
 			}
 		}
-	default: // foldGeneric: the shared row-runtime accumulator core
+	default: // foldGeneric: the shared Value-level accumulator core
 		for k, i := range rows {
 			c := cell(k)
 			if c.gen == nil {
@@ -546,7 +546,7 @@ func (g *batchGrouper) emitTable(s *Schema) *ColTable {
 // aggCol materializes aggregate j's output column. Counts and the
 // int/float/string running values of the typed kernels assemble straight
 // from the cells; averages and the generic kernel route through bFinal
-// (and the colBuilder) for the exact row-runtime finalization.
+// (and the colBuilder) for the exact aggCell finalization.
 func (g *batchGrouper) aggCol(j int) Vector {
 	ng, nb := len(g.firsts), len(g.bound)
 	var nulls []uint64
@@ -610,10 +610,13 @@ func (g *batchGrouper) aggCol(j int) Vector {
 }
 
 // BatchHashGroup is typed hash aggregation on the batch runtime: one
-// output row per distinct grouping key in first-encounter order, exactly
-// HashGroup's contract. Sequential: groups discovered and folded batch by
-// batch. Parallel: the morsel scatter of the row runtime (keys encoded
-// column-major), one grouper per partition folding its entries in global
+// output row per distinct grouping key (grouping equality: NULLs form
+// their own group) in first-encounter order, folded in input order — the
+// reference Group's result as a sequence. Attributes absent from the
+// schema read as a NULL column; the output schema is the grouping
+// attributes followed by the vector's outputs. Sequential: groups
+// discovered and folded batch by batch. Parallel: a morsel scatter by
+// encoded key, one grouper per partition folding its entries in global
 // input order, partitions merged by ascending first-row index. Because
 // selection vectors are monotone, ascending physical first-row order is
 // first-encounter order even under a selection.
@@ -651,12 +654,7 @@ func (e *Exec) BatchHashGroup(t *ColTable, groupBy []string, f aggfn.Vector) *Co
 		s := &morselScatter{}
 		batchKeys(t, lo, hi, bs, groupSlots, false, func(rows []int32, kb *keyBatch) {
 			for k, i := range rows {
-				off := len(s.arena)
-				s.arena = append(s.arena, kb.keys[k]...)
-				key := s.arena[off:]
-				h := hashKey(key)
-				p := h & (partitions - 1)
-				s.buckets[p] = append(s.buckets[p], scatterEntry{row: i, off: int32(off), len: int32(len(key)), hash: h})
+				s.add(i, kb.keys[k])
 			}
 		})
 		scatters[m] = s

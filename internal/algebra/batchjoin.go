@@ -8,10 +8,17 @@ import (
 	"eagg/internal/aggfn"
 )
 
-// Batch-at-a-time hash joins over columnar tables. The operators mirror
-// the row runtime's hashjoin.go/parallel.go exactly — same build order,
-// same probe order, same NULL-key semantics — but work on ColTables:
-// keys are encoded column-major a batch at a time (batchkey.go), probes
+// Batch-at-a-time hash joins over columnar tables. Each operator takes
+// paired key slot lists (lk[i] on the left schema matches rk[i] on the
+// right schema), builds a hash table over the right input and probes with
+// the left input. Join equality is strict: rows with a NULL or NaN key
+// component match nothing, exactly like the nested-loop reference
+// operators with EqStrict predicates; with empty key lists the operators
+// degenerate to their cross-product forms. Output row order equals the
+// nested-loop order (probe rows in input order, matches in build-input
+// order), so results are identical as sequences, not just as bags.
+//
+// Keys are encoded column-major a batch at a time (batchkey.go), probes
 // accumulate (left, right) physical index pairs instead of copying rows,
 // and the output columns are assembled by one typed gather per column.
 // Semijoin and antijoin never copy anything: their output is a selection
@@ -21,7 +28,7 @@ import (
 // selection vectors are monotone (vector.go), physical order equals
 // logical order, so posting lists accumulated in logical scan order, the
 // morsel-ordered chunk concatenation, and the full-outer right tail all
-// reproduce the row runtime's output sequence bit for bit.
+// keep the nested-loop output sequence.
 
 // batchScratch bundles the per-batch scratch buffers (physical row list,
 // key encodings, resolved posting lists) one batch driver needs. Pooled:
@@ -81,13 +88,13 @@ func (b *batchBuild) lookHashed(h uint64, key []byte) []int32 {
 	return b.pt.lookupHashed(h, key)
 }
 
-// batchBuildSide hashes the build input's join keys: the columnar
-// buildSide (sequential) or buildPartitioned (parallel). Posting lists
-// are identical to the row runtime's up to physical renumbering under a
-// selection — same keys, same order. probeCard is the probe input's
+// buildHash hashes the build input's join keys into posting lists
+// of physical row indices in build-input order: one flat table
+// (sequential) or a partitioned one (parallel) holding the same keys and
+// the same postings. probeCard is the probe input's
 // cardinality, used only to gate the optional Bloom filter; pass -1 to
 // disable it (operators that emit every probe row regardless).
-func (e *Exec) batchBuildSide(r *ColTable, rk []int, par bool, probeCard int) *batchBuild {
+func (e *Exec) buildHash(r *ColTable, rk []int, par bool, probeCard int) *batchBuild {
 	bs := e.batchSize()
 	hs := e.hashStats()
 	n := r.Card()
@@ -134,15 +141,9 @@ func (e *Exec) batchBuildSide(r *ColTable, rk []int, par bool, probeCard int) *b
 		s := &morselScatter{}
 		batchKeys(r, lo, hi, bs, rk, true, func(rows []int32, kb *keyBatch) {
 			for k, i := range rows {
-				if kb.dead[k] {
-					continue
+				if !kb.dead[k] {
+					s.add(i, kb.keys[k])
 				}
-				off := len(s.arena)
-				s.arena = append(s.arena, kb.keys[k]...)
-				key := s.arena[off:]
-				h := hashKey(key)
-				p := h & (partitions - 1)
-				s.buckets[p] = append(s.buckets[p], scatterEntry{row: i, off: int32(off), len: int32(len(key)), hash: h})
 			}
 		})
 		scatters[m] = s
@@ -354,7 +355,7 @@ func selTable(t *ColTable, sel []int32) *ColTable {
 // BatchHashJoin is the inner equi-join l ⋈ r on the batch runtime.
 func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int) *ColTable {
 	par := e.parFor(max(l.Card(), r.Card()))
-	bld := e.batchBuildSide(r, rk, par, l.Card())
+	bld := e.buildHash(r, rk, par, l.Card())
 	n := l.Card()
 	nm := 1
 	if par {
@@ -386,7 +387,7 @@ func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int) *ColTable {
 // operation, zero row copies.
 func (e *Exec) BatchHashSemiJoin(l, r *ColTable, lk, rk []int) *ColTable {
 	par := e.parFor(max(l.Card(), r.Card()))
-	bld := e.batchBuildSide(r, rk, par, l.Card())
+	bld := e.buildHash(r, rk, par, l.Card())
 	n := l.Card()
 	nm := 1
 	if par {
@@ -421,7 +422,7 @@ func (e *Exec) BatchHashSemiJoin(l, r *ColTable, lk, rk []int) *ColTable {
 // them to nothing).
 func (e *Exec) BatchHashAntiJoin(l, r *ColTable, lk, rk []int) *ColTable {
 	par := e.parFor(max(l.Card(), r.Card()))
-	bld := e.batchBuildSide(r, rk, par, l.Card())
+	bld := e.buildHash(r, rk, par, l.Card())
 	n := l.Card()
 	nm := 1
 	if par {
@@ -457,7 +458,7 @@ func (e *Exec) BatchHashAntiJoin(l, r *ColTable, lk, rk []int) *ColTable {
 // be a full row over r's schema.
 func (e *Exec) BatchHashLeftOuter(l, r *ColTable, lk, rk []int, pad Row) *ColTable {
 	par := e.parFor(max(l.Card(), r.Card()))
-	bld := e.batchBuildSide(r, rk, par, -1)
+	bld := e.buildHash(r, rk, par, -1)
 	n := l.Card()
 	nm := 1
 	if par {
@@ -496,7 +497,7 @@ func (e *Exec) BatchHashLeftOuter(l, r *ColTable, lk, rk []int, pad Row) *ColTab
 // after the probe barrier in build-input order.
 func (e *Exec) BatchHashFullOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row) *ColTable {
 	par := e.parFor(max(l.Card(), r.Card()))
-	bld := e.batchBuildSide(r, rk, par, -1)
+	bld := e.buildHash(r, rk, par, -1)
 	n := l.Card()
 	nm := 1
 	if par {
@@ -541,12 +542,12 @@ func (e *Exec) BatchHashFullOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row) 
 // BatchHashGroupJoin is the groupjoin on the batch runtime: every left
 // row is extended by the vector's aggregates over its partner bucket,
 // folded in build-input order through the shared accumulator core
-// (updateVals), so results equal the row operator's bit for bit.
+// (updateVals), so results equal the reference GroupJoin's.
 func (e *Exec) BatchHashGroupJoin(l, r *ColTable, lk, rk []int, f aggfn.Vector) *ColTable {
 	bound := BindVector(f, r.Schema)
 	names := append(append([]string(nil), l.Schema.Names()...), f.Outs()...)
 	par := e.parFor(max(l.Card(), r.Card()))
-	bld := e.batchBuildSide(r, rk, par, -1)
+	bld := e.buildHash(r, rk, par, -1)
 	lc := l.Compact() // output appends dense agg columns alongside l's
 	n := lc.Card()
 	aggRows := make([][]Value, n)

@@ -7,9 +7,10 @@ import (
 
 // Column-major key encoding for the batch runtime: one batch of rows gets
 // its grouping or join keys built column by column — the kind dispatch
-// happens once per column per batch instead of once per value, but every
-// produced key is byte-for-byte the appendRowKey/appendJoinKey encoding,
-// so batch and row operators hash and compare identically.
+// happens once per column per batch instead of once per value. Every
+// component is the appendKeyValue encoding of the column value (join keys
+// first normalize integral floats to ints), so keys built from typed and
+// from ColMixed columns hash and compare identically.
 
 // keyBatch holds the encoded keys of one batch. All buffers are reused
 // across batches (reset re-slices, it never frees), and the per-row key
@@ -56,8 +57,8 @@ func (kb *keyBatch) reset(n, chunk int) {
 }
 
 // encodeGroup builds the grouping keys of the given physical rows over
-// the slot columns — the columnar appendRowKey. Slot -1 reads as a NULL
-// column.
+// the slot columns: kind-sensitive, NULL its own group. Slot -1 reads as
+// a NULL column.
 func (kb *keyBatch) encodeGroup(t *ColTable, rows []int32, slots []int) {
 	kb.reset(len(rows), 10*len(slots))
 	for _, s := range slots {
@@ -111,8 +112,11 @@ func (kb *keyBatch) encodeGroup(t *ColTable, rows []int32, slots []int) {
 }
 
 // encodeJoin builds the join keys of the given physical rows over the
-// slot columns — the columnar appendJoinKey, with rowHasNullKey folded
-// into the dead marks: a NULL or NaN key component kills the row (strict
+// slot columns. Join equality is numeric across kinds (Int(2) =
+// Float(2.0), see eqNonNull), so integral floats are normalized to the
+// integer encoding; the normalization is exact for |values| ≤ 2^53, the
+// range where float64 represents integers exactly. A NULL or NaN key
+// component marks the row dead: it matches nothing (strict
 // equality matches it to nothing). Dead rows carry truncated keys and
 // must not be hashed.
 func (kb *keyBatch) encodeJoin(t *ColTable, rows []int32, slots []int) {

@@ -7,11 +7,9 @@ import (
 	"eagg/internal/aggfn"
 )
 
-// Benchmarks comparing the row and batch runtimes on the operator level,
-// with allocation counts: the batch aggregation path must cut allocs/op
-// by at least 5x against row HashGroup (PR 7 acceptance), and the
-// slab-backed table ops must stay O(1) allocations per output table
-// rather than one make per row.
+// Operator-level benchmarks of the batch runtime with allocation counts:
+// aggregation, the flat hash tables against Go maps, and the batch join
+// pair.
 
 // benchAggTable builds n rows over (g, v, f): an int grouping column
 // cycling through the given group count, an int measure and a float
@@ -29,11 +27,9 @@ func benchAggTable(n, groups int) *Table {
 	return t
 }
 
-// BenchmarkHashGroupRuntimes is the aggregation-path allocation shootout:
-// identical inputs, identical results, row HashGroup against the batch
-// grouper (input already columnar, as it is mid-pipeline). The batch side
-// allocates per group and per output column; the row side allocates per
-// group row and per accumulator.
+// BenchmarkHashGroupRuntimes tracks the batch grouper's time and
+// allocations (input already columnar, as it is mid-pipeline): it
+// allocates per group and per output column, not per input row.
 func BenchmarkHashGroupRuntimes(b *testing.B) {
 	f := aggfn.Vector{
 		{Out: "s", Kind: aggfn.Sum, Arg: "v"},
@@ -42,17 +38,8 @@ func BenchmarkHashGroupRuntimes(b *testing.B) {
 	}
 	groupBy := []string{"g"}
 	for _, groups := range []int{16, 1024} {
-		t := benchAggTable(1<<13, groups)
-		ct := ColTableOf(t)
+		ct := ColTableOf(benchAggTable(1<<13, groups))
 		e := NewExec(1)
-		b.Run(fmt.Sprintf("runtime=row/groups=%d", groups), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if out := e.HashGroup(t, groupBy, f); len(out.Rows) != groups {
-					b.Fatalf("got %d groups, want %d", len(out.Rows), groups)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("runtime=batch/groups=%d", groups), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -149,7 +136,7 @@ func BenchmarkHashTable(b *testing.B) {
 }
 
 // BenchmarkBatchHashJoin measures the batch join pair (build + probe +
-// typed gather) against the row operator on a fk-pk shape with int keys.
+// typed gather) on a fk-pk shape with int keys.
 func BenchmarkBatchHashJoin(b *testing.B) {
 	const nl, nr = 1 << 13, 1 << 10
 	ls := NewSchema([]string{"fk", "x"})
@@ -165,45 +152,11 @@ func BenchmarkBatchHashJoin(b *testing.B) {
 	cl, cr := ColTableOf(l), ColTableOf(r)
 	e := NewExec(1)
 	lk, rk := []int{0}, []int{0}
-	b.Run("runtime=row", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if out := e.HashJoin(l, r, lk, rk); len(out.Rows) != nl {
-				b.Fatalf("got %d rows, want %d", len(out.Rows), nl)
-			}
-		}
-	})
 	b.Run("runtime=batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if out := e.BatchHashJoin(cl, cr, lk, rk); out.Card() != nl {
 				b.Fatalf("got %d rows, want %d", out.Card(), nl)
-			}
-		}
-	})
-}
-
-// BenchmarkTableOpAllocs pins the slab allocation of the row-table ops:
-// extending and projecting a table must cost a constant number of
-// allocations (header + one backing slab), not one make per row.
-func BenchmarkTableOpAllocs(b *testing.B) {
-	t := benchAggTable(1<<13, 64)
-	b.Run("op=extend", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out := ExtendTable(t, "w", func(r Row) Value { return Mul(r[1], Int(2)) })
-			if len(out.Rows) != len(t.Rows) {
-				b.Fatal("row count changed")
-			}
-		}
-	})
-	slots := []int{0, 2}
-	b.Run("op=project", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out := ProjectTable(t, slots)
-			if len(out.Rows) != len(t.Rows) {
-				b.Fatal("row count changed")
 			}
 		}
 	})

@@ -6,11 +6,10 @@ import (
 	"eagg/internal/aggfn"
 )
 
-// Typed hash aggregation: the slot-based counterpart of Group and
-// GroupJoin. An aggregation vector is bound against a schema once
-// (attribute names → slots), groups are keyed by the collision-proof
-// typed encoding of hashkey.go with grouping equality (NULL = NULL,
-// kind-sensitive otherwise), and every aggregate folds its group
+// Aggregate binding and accumulators shared by the columnar aggregation
+// operators (BatchHashGroup's generic kernel, BatchHashGroupJoin,
+// SortGroup): an aggregation vector is bound against a schema once
+// (attribute names → slots), and every aggregate folds its group
 // incrementally through a small accumulator instead of re-scanning
 // collected tuple slices. Rows are folded in input order, so even
 // order-sensitive float summation matches the reference operators bit for
@@ -68,18 +67,12 @@ func addTo(s Value, term Value) Value {
 	return Add(s, term)
 }
 
-// update folds one input row into the accumulator. scratch is a reusable
-// per-worker key buffer for the distinct forms (reset on every use, so
-// sharing one across rows and aggregates is safe).
-func (c *aggCell) update(a *BoundAgg, row Row, scratch *[]byte) {
-	c.updateVals(a, row.get(a.Arg), row.get(a.Arg2), row.get(a.Wgt), scratch)
-}
-
-// updateVals is the representation-neutral fold core: it takes the
-// aggregate's input values directly instead of reading them from a row,
-// so the row runtime (update) and the batch runtime's generic fold
-// (batchagg.go) share one accumulator trajectory — bit-identical by
-// construction.
+// updateVals folds one input row, given as the aggregate's input values,
+// into the accumulator — the shared fold core of the batch grouper's
+// generic kernel (batchagg.go), the groupjoin and sort-group aggregation
+// (sort.go), so every path follows one accumulator trajectory. scratch
+// is a reusable per-worker key buffer for the distinct forms (reset on
+// every use, so sharing one across rows and aggregates is safe).
 func (c *aggCell) updateVals(a *BoundAgg, arg, arg2, wgt Value, scratch *[]byte) {
 	switch a.Kind {
 	case aggfn.CountStar:
@@ -176,84 +169,4 @@ func (c *aggCell) final(a *BoundAgg) Value {
 		return Div(s, Int(int64(len(c.vals))))
 	}
 	panic(fmt.Sprintf("algebra: unknown aggregate kind %v", a.Kind))
-}
-
-// groupAcc is the per-group state of a hash aggregation.
-type groupAcc struct {
-	rep   Row // representative grouping values
-	cells []aggCell
-}
-
-// HashGroup is the typed hash-aggregation form of Group: one output row
-// per distinct grouping key (grouping equality: NULLs form their own
-// group), in first-encounter order. The grouping attributes are resolved
-// against t's schema once; attributes absent from the schema read as a
-// NULL column, like in the map runtime. The output schema is the grouping
-// attributes followed by the vector's output attributes.
-func HashGroup(t *Table, groupBy []string, f aggfn.Vector) *Table {
-	bound := BindVector(f, t.Schema)
-	groupSlots := t.Schema.Slots(groupBy)
-	names := make([]string, 0, len(groupBy)+len(f))
-	names = append(names, groupBy...)
-	names = append(names, f.Outs()...)
-	out := &Table{Schema: NewSchema(names)}
-
-	groups := map[string]*groupAcc{}
-	var order []*groupAcc
-	var buf, scratch []byte
-	for _, row := range t.Rows {
-		buf = appendRowKey(buf[:0], row, groupSlots)
-		g := groups[string(buf)]
-		if g == nil {
-			rep := make(Row, len(groupSlots))
-			for i, s := range groupSlots {
-				rep[i] = row.get(s)
-			}
-			g = &groupAcc{rep: rep, cells: make([]aggCell, len(bound))}
-			groups[string(buf)] = g
-			order = append(order, g)
-		}
-		for i := range bound {
-			g.cells[i].update(&bound[i], row, &scratch)
-		}
-	}
-	for _, g := range order {
-		row := make(Row, 0, len(groupSlots)+len(bound))
-		row = append(row, g.rep...)
-		for i := range bound {
-			row = append(row, g.cells[i].final(&bound[i]))
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
-}
-
-// HashGroupJoin is the typed build/probe form of GroupJoin: the right
-// side is hashed on its key slots, and every left row is extended by the
-// vector's aggregates over its (possibly empty) partner bucket. Strict
-// join equality applies to the keys.
-func HashGroupJoin(l, r *Table, lk, rk []int, f aggfn.Vector) *Table {
-	bound := BindVector(f, r.Schema)
-	names := append(append([]string(nil), l.Schema.Names()...), f.Outs()...)
-	out := &Table{Schema: NewSchema(names)}
-	ht := buildSide(r, rk)
-	var buf, scratch []byte
-	for _, lrow := range l.Rows {
-		cells := make([]aggCell, len(bound))
-		if !rowHasNullKey(lrow, lk) {
-			buf = appendJoinKey(buf[:0], lrow, lk)
-			for _, ri := range ht[string(buf)] {
-				for i := range bound {
-					cells[i].update(&bound[i], r.Rows[ri], &scratch)
-				}
-			}
-		}
-		row := make(Row, 0, len(lrow)+len(bound))
-		row = append(row, lrow...)
-		for i := range bound {
-			row = append(row, cells[i].final(&bound[i]))
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
 }

@@ -9,7 +9,7 @@ import (
 // keys by concatenating human-readable value renderings with a separator,
 // which is ambiguous: a string value containing the separator and a type
 // tag could make two distinct tuples encode identically (see
-// TestGroupingKeyCollision). The slot runtime instead uses an unambiguous
+// TestGroupingKeyCollision). The columnar operators instead use an unambiguous
 // binary encoding: every value is tagged with its kind, numeric payloads
 // are fixed-width, and string payloads are length-prefixed. No two
 // distinct value sequences share an encoding.
@@ -51,47 +51,4 @@ func appendKeyValue(b []byte, v Value) []byte {
 		return append(b, v.S...)
 	}
 	panic("algebra: unknown value kind in key encoding")
-}
-
-// appendRowKey appends the grouping key of row over the given slots:
-// kind-sensitive, exactly the equality that the reference runtime's
-// canonical tuple encoding implements. Slot -1 reads as NULL.
-func appendRowKey(b []byte, row Row, slots []int) []byte {
-	for _, s := range slots {
-		b = appendKeyValue(b, row.get(s))
-	}
-	return b
-}
-
-// appendJoinKey appends the join key of row over the given slots. Join
-// equality is numeric across kinds (Int(2) = Float(2.0), see eqNonNull),
-// so integral floats are normalized to the integer encoding. The
-// normalization is exact for |values| ≤ 2^53, the range where float64
-// represents integers exactly; the runtime's data domains stay far below
-// that.
-func appendJoinKey(b []byte, row Row, slots []int) []byte {
-	for _, s := range slots {
-		v := row.get(s)
-		if v.Kind == KindFloat {
-			if i := int64(v.F); float64(i) == v.F {
-				v = Int(i)
-			}
-		}
-		b = appendKeyValue(b, v)
-	}
-	return b
-}
-
-// rowHasNullKey reports whether any key slot of the row is NULL or NaN —
-// such rows match nothing under strict (join) equality: NULL by SQL
-// semantics, NaN because NaN ≠ NaN, exactly as the reference operators'
-// EqStrict comparison behaves.
-func rowHasNullKey(row Row, slots []int) bool {
-	for _, s := range slots {
-		v := row.get(s)
-		if v.IsNull() || (v.Kind == KindFloat && math.IsNaN(v.F)) {
-			return true
-		}
-	}
-	return false
 }

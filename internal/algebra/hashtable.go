@@ -14,7 +14,7 @@ package algebra
 // Two posting-table specializations cover the runtime's key shapes:
 //
 //   - intTable hashes raw int64 payloads (the single-ColInt fast path of
-//     batchBuildSide) through a splitmix64-style mixer.
+//     buildHash) through a splitmix64-style mixer.
 //   - bytesTable hashes the canonical typed binary key encodings
 //     (batchkey.go) under the same word-at-a-time hash (hashKey) the partition
 //     scatter uses, so one hash per key serves both the partition choice

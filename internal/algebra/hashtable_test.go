@@ -318,7 +318,7 @@ func bloomJoinTables(strKeys bool) (l, r *Table) {
 
 // TestBloomJoinsMatchRow pins bloom safety end to end: with the filter
 // demonstrably active (BloomChecks > 0), inner/semi/anti results equal
-// the row runtime bit for bit — on the int fast path, the encoded
+// the reference operators' — on the int fast path, the encoded
 // sequential path and the partitioned parallel path — and the outer
 // joins never consult a filter.
 func TestBloomJoinsMatchRow(t *testing.T) {
@@ -326,6 +326,8 @@ func TestBloomJoinsMatchRow(t *testing.T) {
 		l, r := bloomJoinTables(strKeys)
 		lc, rc := ColTableOf(l), ColTableOf(r)
 		lk, rk := []int{0}, []int{0}
+		lr, rr := l.Rel(), r.Rel()
+		pred := EqAttr("lk", "rk")
 		execs := map[string]*Exec{
 			"seq": NewExec(1),
 			"par": NewExec(8).WithMorselSize(64),
@@ -334,12 +336,9 @@ func TestBloomJoinsMatchRow(t *testing.T) {
 			hs := &HashStats{}
 			e = e.WithHashStats(hs)
 			prefix := fmt.Sprintf("str=%v/%s", strKeys, name)
-			identicalRows(t, prefix+"/join",
-				HashJoin(l, r, lk, rk), e.BatchHashJoin(lc, rc, lk, rk).Table())
-			identicalRows(t, prefix+"/semi",
-				HashSemiJoin(l, r, lk, rk), e.BatchHashSemiJoin(lc, rc, lk, rk).Table())
-			identicalRows(t, prefix+"/anti",
-				HashAntiJoin(l, r, lk, rk), e.BatchHashAntiJoin(lc, rc, lk, rk).Table())
+			sameAsRef(t, prefix+"/join", Join(lr, rr, pred), e.BatchHashJoin(lc, rc, lk, rk))
+			sameAsRef(t, prefix+"/semi", SemiJoin(lr, rr, pred), e.BatchHashSemiJoin(lc, rc, lk, rk))
+			sameAsRef(t, prefix+"/anti", AntiJoin(lr, rr, pred), e.BatchHashAntiJoin(lc, rc, lk, rk))
 			snap := hs.Snapshot()
 			if snap.BloomChecks == 0 {
 				t.Fatalf("%s: bloom never consulted (checks=0) — the gate regressed", prefix)
@@ -395,11 +394,6 @@ func TestGrowUnderParallelScatterDeterminism(t *testing.T) {
 	identicalRows(t, "group w1≡w8",
 		w1.BatchHashGroup(lc, []string{"lk"}, f).Table(),
 		w8.BatchHashGroup(lc, []string{"lk"}, f).Table())
-
-	// The row-runtime parallel joins share the partitioned flat tables.
-	identicalRows(t, "row join seq≡w8",
-		HashJoin(l, r, []int{0}, []int{0}),
-		w8.WithMorselSize(128).HashJoin(l, r, []int{0}, []int{0}))
 }
 
 // TestHashStatsRecording pins the collector arithmetic and that grouper

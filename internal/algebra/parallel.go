@@ -1,8 +1,8 @@
 package algebra
 
 // Morsel-driven parallel execution (Leis et al., SIGMOD 2014 style) for
-// the slot-based hash operators. Inputs are split into fixed-size row
-// ranges (morsels) that a small worker pool processes concurrently:
+// the columnar operators. Inputs are split into fixed-size row ranges
+// (morsels) that a small worker pool processes concurrently:
 //
 //   - Hash-join builds run as parallel partitioned inserts: a
 //     morsel-parallel scatter pass buckets every build row by the hash
@@ -12,7 +12,7 @@ package algebra
 //     Because the per-morsel buckets are merged in morsel order, every
 //     posting list holds its row indices in build-input order — the
 //     partitioned table is observationally identical to the sequential
-//     buildSide map, just split by key hash.
+//     build, just split by key hash.
 //   - Probes run morsel-parallel over the probe input. Each morsel
 //     produces its own output chunk, and the chunks are concatenated in
 //     morsel order, so the output is exactly the sequential probe order
@@ -37,11 +37,8 @@ package algebra
 import (
 	"encoding/binary"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
-
-	"eagg/internal/aggfn"
 )
 
 // DefaultMorselSize caps the adaptive morsel sizing: rows per morsel
@@ -62,7 +59,7 @@ const morselsPerWorker = 4
 // hash masked by partitions-1).
 const partitions = 64
 
-// Exec carries execution-wide settings for the slot operators: the
+// Exec carries execution-wide settings for the columnar operators: the
 // worker count of the morsel-driven parallel variants and the morsel
 // granularity. A nil *Exec runs every operator sequentially.
 type Exec struct {
@@ -335,45 +332,26 @@ type morselScatter struct {
 	buckets [partitions][]scatterEntry
 }
 
-// scatterRows buckets rows [lo,hi) of t by the hash of their key over
-// the given slots. With joinKeys true the key is the join encoding and
-// rows with NULL/NaN key components are dropped (strict equality matches
-// them to nothing); otherwise the grouping encoding is used and NULL
-// keys form their own groups.
-func scatterRows(t *Table, lo, hi int, slots []int, joinKeys bool) *morselScatter {
-	s := &morselScatter{}
-	for i := lo; i < hi; i++ {
-		row := t.Rows[i]
-		if joinKeys && rowHasNullKey(row, slots) {
-			continue
-		}
-		off := len(s.arena)
-		if joinKeys {
-			s.arena = appendJoinKey(s.arena, row, slots)
-		} else {
-			s.arena = appendRowKey(s.arena, row, slots)
-		}
-		key := s.arena[off:]
-		h := hashKey(key)
-		p := h & (partitions - 1)
-		s.buckets[p] = append(s.buckets[p], scatterEntry{row: int32(i), off: int32(off), len: int32(len(key)), hash: h})
-	}
-	return s
+// add copies one row's encoded key into the arena and buckets the row
+// by the key's hash.
+func (s *morselScatter) add(row int32, key []byte) {
+	off := len(s.arena)
+	s.arena = append(s.arena, key...)
+	h := hashKey(s.arena[off:])
+	p := h & (partitions - 1)
+	s.buckets[p] = append(s.buckets[p], scatterEntry{row: row, off: int32(off), len: int32(len(key)), hash: h})
 }
 
 // partTable is a partitioned hash table over a build input: partition p
 // holds the keys hashing to p (low hash bits) in a flat open-addressing
-// table, posting lists in build-input order — the sequential buildSide
+// table, posting lists in build-input order — the sequential build's
 // postings split by key hash. A nil partition holds no keys.
 type partTable struct {
 	parts [partitions]*bytesTable
 }
 
-// lookup returns the posting list of an encoded key.
-func (pt *partTable) lookup(key []byte) []int32 {
-	return pt.lookupHashed(hashKey(key), key)
-}
-
+// lookupHashed returns the posting list of an encoded key under its
+// precomputed hash.
 func (pt *partTable) lookupHashed(h uint64, key []byte) []int32 {
 	t := pt.parts[h&(partitions-1)]
 	if t == nil {
@@ -413,330 +391,9 @@ func (e *Exec) buildParts(scatters []*morselScatter) *partTable {
 	return pt
 }
 
-// buildPartitioned builds the partitioned hash table over r's key slots:
-// a morsel-parallel scatter pass, then parallel partitioned inserts into
-// flat tables (buildParts).
-func (e *Exec) buildPartitioned(r *Table, rk []int) *partTable {
-	scatters := make([]*morselScatter, e.morselCount(len(r.Rows)))
-	e.forMorsels(len(r.Rows), func(m, lo, hi int) {
-		scatters[m] = scatterRows(r, lo, hi, rk, true)
-	})
-	return e.buildParts(scatters)
-}
-
-// probeMorsels runs fn over morsels of the probe input, each morsel
-// returning its output chunk, and assembles out.Rows by concatenating
-// the chunks in input-morsel order — exactly the sequential output
-// order.
-func (e *Exec) probeMorsels(probe *Table, out *Table, fn func(lo, hi int) []Row) {
-	chunks := make([][]Row, e.morselCount(len(probe.Rows)))
-	e.forMorsels(len(probe.Rows), func(m, lo, hi int) {
-		chunks[m] = fn(lo, hi)
-	})
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	out.Rows = make([]Row, 0, total)
-	for _, c := range chunks {
-		out.Rows = append(out.Rows, c...)
-	}
-}
-
-// HashJoin is the inner equi-join l ⋈ r under e's settings: partitioned
-// parallel build, morsel-parallel probe. Workers ≤ 1 is the sequential
-// HashJoin.
-func (e *Exec) HashJoin(l, r *Table, lk, rk []int) *Table {
-	if !e.parFor(max(len(l.Rows), len(r.Rows))) {
-		return HashJoin(l, r, lk, rk)
-	}
-	out := &Table{Schema: l.Schema.Concat(r.Schema)}
-	pt := e.buildPartitioned(r, rk)
-	width := out.Schema.Len()
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		var chunk []Row
-		var buf []byte
-		ar := newRowArena(width)
-		for _, lrow := range l.Rows[lo:hi] {
-			if rowHasNullKey(lrow, lk) {
-				continue
-			}
-			buf = appendJoinKey(buf[:0], lrow, lk)
-			for _, ri := range pt.lookup(buf) {
-				chunk = append(chunk, ar.concat(lrow, r.Rows[ri]))
-			}
-		}
-		return chunk
-	})
-	return out
-}
-
-// HashSemiJoin is the left semijoin l ⋉ r under e's settings.
-func (e *Exec) HashSemiJoin(l, r *Table, lk, rk []int) *Table {
-	if !e.parFor(max(len(l.Rows), len(r.Rows))) {
-		return HashSemiJoin(l, r, lk, rk)
-	}
-	out := &Table{Schema: l.Schema}
-	pt := e.buildPartitioned(r, rk)
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		var chunk []Row
-		var buf []byte
-		for _, lrow := range l.Rows[lo:hi] {
-			if rowHasNullKey(lrow, lk) {
-				continue
-			}
-			buf = appendJoinKey(buf[:0], lrow, lk)
-			if len(pt.lookup(buf)) > 0 {
-				chunk = append(chunk, lrow)
-			}
-		}
-		return chunk
-	})
-	return out
-}
-
-// HashAntiJoin is the left antijoin l ▷ r under e's settings.
-func (e *Exec) HashAntiJoin(l, r *Table, lk, rk []int) *Table {
-	if !e.parFor(max(len(l.Rows), len(r.Rows))) {
-		return HashAntiJoin(l, r, lk, rk)
-	}
-	out := &Table{Schema: l.Schema}
-	pt := e.buildPartitioned(r, rk)
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		var chunk []Row
-		var buf []byte
-		for _, lrow := range l.Rows[lo:hi] {
-			if !rowHasNullKey(lrow, lk) {
-				buf = appendJoinKey(buf[:0], lrow, lk)
-				if len(pt.lookup(buf)) > 0 {
-					continue
-				}
-			}
-			chunk = append(chunk, lrow)
-		}
-		return chunk
-	})
-	return out
-}
-
-// HashLeftOuter is the left outerjoin under e's settings. pad must be a
-// full row over r's schema.
-func (e *Exec) HashLeftOuter(l, r *Table, lk, rk []int, pad Row) *Table {
-	if !e.parFor(max(len(l.Rows), len(r.Rows))) {
-		return HashLeftOuter(l, r, lk, rk, pad)
-	}
-	out := &Table{Schema: l.Schema.Concat(r.Schema)}
-	pt := e.buildPartitioned(r, rk)
-	width := out.Schema.Len()
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		var chunk []Row
-		var buf []byte
-		ar := newRowArena(width)
-		for _, lrow := range l.Rows[lo:hi] {
-			matched := false
-			if !rowHasNullKey(lrow, lk) {
-				buf = appendJoinKey(buf[:0], lrow, lk)
-				for _, ri := range pt.lookup(buf) {
-					matched = true
-					chunk = append(chunk, ar.concat(lrow, r.Rows[ri]))
-				}
-			}
-			if !matched {
-				chunk = append(chunk, ar.concat(lrow, pad))
-			}
-		}
-		return chunk
-	})
-	return out
-}
-
-// HashFullOuter is the full outerjoin under e's settings. Matched build
-// rows are marked through atomics (the mark only ever moves false→true,
-// so concurrent marking is order-independent); the unmatched right rows
-// are appended after the probe barrier in build-input order, exactly
-// like the sequential operator.
-func (e *Exec) HashFullOuter(l, r *Table, lk, rk []int, lpad, rpad Row) *Table {
-	if !e.parFor(max(len(l.Rows), len(r.Rows))) {
-		return HashFullOuter(l, r, lk, rk, lpad, rpad)
-	}
-	out := &Table{Schema: l.Schema.Concat(r.Schema)}
-	pt := e.buildPartitioned(r, rk)
-	width := out.Schema.Len()
-	matched := make([]atomic.Bool, len(r.Rows))
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		var chunk []Row
-		var buf []byte
-		ar := newRowArena(width)
-		for _, lrow := range l.Rows[lo:hi] {
-			found := false
-			if !rowHasNullKey(lrow, lk) {
-				buf = appendJoinKey(buf[:0], lrow, lk)
-				for _, ri := range pt.lookup(buf) {
-					found = true
-					matched[ri].Store(true)
-					chunk = append(chunk, ar.concat(lrow, r.Rows[ri]))
-				}
-			}
-			if !found {
-				chunk = append(chunk, ar.concat(lrow, rpad))
-			}
-		}
-		return chunk
-	})
-	tail := newRowArena(width)
-	for ri, rrow := range r.Rows {
-		if !matched[ri].Load() {
-			out.Rows = append(out.Rows, tail.concat(lpad, rrow))
-		}
-	}
-	return out
-}
-
-// HashGroupJoin is the groupjoin under e's settings: partitioned build,
-// morsel-parallel probe; every left row folds its partner bucket in
-// build-input order, like the sequential operator.
-func (e *Exec) HashGroupJoin(l, r *Table, lk, rk []int, f aggfn.Vector) *Table {
-	if !e.parFor(max(len(l.Rows), len(r.Rows))) {
-		return HashGroupJoin(l, r, lk, rk, f)
-	}
-	bound := BindVector(f, r.Schema)
-	names := append(append([]string(nil), l.Schema.Names()...), f.Outs()...)
-	out := &Table{Schema: NewSchema(names)}
-	pt := e.buildPartitioned(r, rk)
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		chunk := make([]Row, 0, hi-lo)
-		var buf, scratch []byte
-		for _, lrow := range l.Rows[lo:hi] {
-			cells := make([]aggCell, len(bound))
-			if !rowHasNullKey(lrow, lk) {
-				buf = appendJoinKey(buf[:0], lrow, lk)
-				for _, ri := range pt.lookup(buf) {
-					for i := range bound {
-						cells[i].update(&bound[i], r.Rows[ri], &scratch)
-					}
-				}
-			}
-			row := make(Row, 0, len(lrow)+len(bound))
-			row = append(row, lrow...)
-			for i := range bound {
-				row = append(row, cells[i].final(&bound[i]))
-			}
-			chunk = append(chunk, row)
-		}
-		return chunk
-	})
-	return out
-}
-
-// partGroup is one group being accumulated in a partition, tagged with
-// the global index of its first input row.
-type partGroup struct {
-	acc   groupAcc
-	first int32
-}
-
 // groupOut is one finished group: its output row plus the first-row tag
 // that orders the deterministic merge.
 type groupOut struct {
 	first int32
 	row   Row
-}
-
-// HashGroup is typed hash aggregation under e's settings: morsel-parallel
-// scatter by grouping key, one independent accumulator table per
-// partition, partitions merged by ascending first-input-row index. Every
-// group's rows are folded in global input order by exactly one partition
-// task, and the merge order equals first-encounter order — so the result
-// is bit-identical to the sequential HashGroup, float sums included.
-func (e *Exec) HashGroup(t *Table, groupBy []string, f aggfn.Vector) *Table {
-	if !e.parFor(len(t.Rows)) {
-		return HashGroup(t, groupBy, f)
-	}
-	bound := BindVector(f, t.Schema)
-	groupSlots := t.Schema.Slots(groupBy)
-	names := make([]string, 0, len(groupBy)+len(f))
-	names = append(names, groupBy...)
-	names = append(names, f.Outs()...)
-	out := &Table{Schema: NewSchema(names)}
-
-	scatters := make([]*morselScatter, e.morselCount(len(t.Rows)))
-	e.forMorsels(len(t.Rows), func(m, lo, hi int) {
-		scatters[m] = scatterRows(t, lo, hi, groupSlots, false)
-	})
-
-	partOuts := make([][]groupOut, partitions)
-	e.forParts(func(p int) {
-		groups := map[string]*partGroup{}
-		var order []*partGroup
-		var scratch []byte
-		for _, sc := range scatters {
-			for _, en := range sc.buckets[p] {
-				key := sc.arena[en.off : en.off+en.len]
-				g := groups[string(key)]
-				row := t.Rows[en.row]
-				if g == nil {
-					rep := make(Row, len(groupSlots))
-					for i, s := range groupSlots {
-						rep[i] = row.get(s)
-					}
-					g = &partGroup{
-						acc:   groupAcc{rep: rep, cells: make([]aggCell, len(bound))},
-						first: en.row,
-					}
-					groups[string(key)] = g
-					order = append(order, g)
-				}
-				for i := range bound {
-					g.acc.cells[i].update(&bound[i], row, &scratch)
-				}
-			}
-		}
-		outs := make([]groupOut, len(order))
-		for i, g := range order {
-			row := make(Row, 0, len(groupSlots)+len(bound))
-			row = append(row, g.acc.rep...)
-			for ci := range bound {
-				row = append(row, g.acc.cells[ci].final(&bound[ci]))
-			}
-			outs[i] = groupOut{first: g.first, row: row}
-		}
-		partOuts[p] = outs
-	})
-
-	var all []groupOut
-	for _, outs := range partOuts {
-		all = append(all, outs...)
-	}
-	// First-row indices are unique across groups, so the order is total
-	// and the sort deterministic.
-	sort.Slice(all, func(i, j int) bool { return all[i].first < all[j].first })
-	out.Rows = make([]Row, len(all))
-	for i, g := range all {
-		out.Rows[i] = g.row
-	}
-	return out
-}
-
-// ExtendTable appends one computed column under e's settings. fn must be
-// pure; rows are written by index, so the output order is trivially the
-// input order.
-func (e *Exec) ExtendTable(t *Table, name string, fn func(Row) Value) *Table {
-	if !e.parFor(len(t.Rows)) {
-		return ExtendTable(t, name, fn)
-	}
-	out := &Table{Schema: t.Schema.Extend(name), Rows: make([]Row, len(t.Rows))}
-	w := t.Schema.Len() + 1
-	slab := make([]Value, len(t.Rows)*w)
-	e.forMorsels(len(t.Rows), func(m, lo, hi int) {
-		// Morsels own disjoint row ranges, so they write disjoint slab
-		// spans.
-		for i := lo; i < hi; i++ {
-			row := t.Rows[i]
-			nr := slab[i*w : i*w : (i+1)*w]
-			nr = append(nr, row...)
-			nr = append(nr, fn(row))
-			out.Rows[i] = nr
-		}
-	})
-	return out
 }

@@ -64,7 +64,7 @@ func TestParallelOpsIdenticalToSequential(t *testing.T) {
 				tu["l.v"] = Int(int64(len(tu["l.v"].S)))
 			}
 		}
-		lt, rt := TableOf(l), TableOf(r)
+		lt, rt := ColTableOf(TableOf(l)), ColTableOf(TableOf(r))
 
 		nKeys := rng.Intn(3)
 		var lk, rk []int
@@ -80,16 +80,29 @@ func TestParallelOpsIdenticalToSequential(t *testing.T) {
 			{Out: "gj_sum", Kind: aggfn.Sum, Arg: "r.w"},
 		}
 
-		e := execs[trial%len(execs)]
-		identicalTables(t, "join", HashJoin(lt, rt, lk, rk), e.HashJoin(lt, rt, lk, rk))
-		identicalTables(t, "semi", HashSemiJoin(lt, rt, lk, rk), e.HashSemiJoin(lt, rt, lk, rk))
-		identicalTables(t, "anti", HashAntiJoin(lt, rt, lk, rk), e.HashAntiJoin(lt, rt, lk, rk))
-		identicalTables(t, "leftouter",
-			HashLeftOuter(lt, rt, lk, rk, pad), e.HashLeftOuter(lt, rt, lk, rk, pad))
-		identicalTables(t, "fullouter",
-			HashFullOuter(lt, rt, lk, rk, lpad, pad), e.HashFullOuter(lt, rt, lk, rk, lpad, pad))
-		identicalTables(t, "groupjoin",
-			HashGroupJoin(lt, rt, lk, rk, gjVec), e.HashGroupJoin(lt, rt, lk, rk, gjVec))
+		seq, e := NewExec(1), execs[trial%len(execs)]
+		same := func(label string, want, got *ColTable) {
+			t.Helper()
+			identicalTables(t, label, want.Table(), got.Table())
+		}
+		same("join", seq.BatchHashJoin(lt, rt, lk, rk), e.BatchHashJoin(lt, rt, lk, rk))
+		same("semi", seq.BatchHashSemiJoin(lt, rt, lk, rk), e.BatchHashSemiJoin(lt, rt, lk, rk))
+		same("anti", seq.BatchHashAntiJoin(lt, rt, lk, rk), e.BatchHashAntiJoin(lt, rt, lk, rk))
+		same("leftouter",
+			seq.BatchHashLeftOuter(lt, rt, lk, rk, pad), e.BatchHashLeftOuter(lt, rt, lk, rk, pad))
+		same("fullouter",
+			seq.BatchHashFullOuter(lt, rt, lk, rk, lpad, pad), e.BatchHashFullOuter(lt, rt, lk, rk, lpad, pad))
+		same("groupjoin",
+			seq.BatchHashGroupJoin(lt, rt, lk, rk, gjVec), e.BatchHashGroupJoin(lt, rt, lk, rk, gjVec))
+		mwant, err := seq.MergeJoin(lt, rt, lk, rk, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgot, err := e.MergeJoin(lt, rt, lk, rk, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("mergejoin", mwant, mgot)
 
 		groupBy := []string{"l.k1", "l.k2"}[:1+rng.Intn(2)]
 		aggVec := aggfn.Vector{
@@ -97,13 +110,21 @@ func TestParallelOpsIdenticalToSequential(t *testing.T) {
 			{Out: "mn", Kind: aggfn.Min, Arg: "l.v"},
 			{Out: "cd", Kind: aggfn.CountDistinct, Arg: "l.v"},
 		}
-		identicalTables(t, "group",
-			HashGroup(lt, groupBy, aggVec), e.HashGroup(lt, groupBy, aggVec))
+		same("group",
+			seq.BatchHashGroup(lt, groupBy, aggVec), e.BatchHashGroup(lt, groupBy, aggVec))
+		gwant, err := seq.SortGroup(lt, groupBy, aggVec, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ggot, err := e.SortGroup(lt, groupBy, aggVec, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("sortgroup", gwant, ggot)
 
-		wSlot := rt.Schema.MustSlot("r.w")
-		ext := func(row Row) Value { return Mul(row.get(wSlot), Int(2)) }
-		identicalTables(t, "extend",
-			ExtendTable(rt, "x", ext), e.ExtendTable(rt, "x", ext))
+		wSlots := []int{rt.Schema.MustSlot("r.w"), rt.Schema.MustSlot("r.w")}
+		same("product",
+			seq.BatchExtendProduct(rt, "x", wSlots), e.BatchExtendProduct(rt, "x", wSlots))
 	}
 }
 
@@ -133,10 +154,11 @@ func TestParallelFloatSumOrder(t *testing.T) {
 		{Out: "s", Kind: aggfn.Sum, Arg: "v"},
 		{Out: "a", Kind: aggfn.Avg, Arg: "v"},
 	}
-	want := HashGroup(tab, []string{"g"}, vec)
+	ct := ColTableOf(tab)
+	want := NewExec(1).BatchHashGroup(ct, []string{"g"}, vec).Table()
 	for _, workers := range []int{2, 4, 8} {
 		e := NewExec(workers).WithMorselSize(64)
-		identicalTables(t, fmt.Sprintf("workers=%d", workers), want, e.HashGroup(tab, []string{"g"}, vec))
+		identicalTables(t, fmt.Sprintf("workers=%d", workers), want, e.BatchHashGroup(ct, []string{"g"}, vec).Table())
 	}
 }
 
@@ -218,34 +240,31 @@ func TestForMorsels(t *testing.T) {
 	}
 }
 
-// TestPartitionedBuildMatchesBuildSide: the partitioned table must hold
-// exactly the sequential buildSide postings, split by key hash.
+// TestPartitionedBuildMatchesBuildSide: the partitioned parallel build
+// must hold exactly the sequential build's keys and postings, split by
+// key hash — both checked against the nested-loop postings model.
 func TestPartitionedBuildMatchesBuildSide(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 50; trial++ {
 		ra := []string{"r.k1", "r.k2"}
-		r := randomRel(rng, ra, rng.Intn(40))
-		rt := TableOf(r)
+		r := TableOf(randomRel(rng, ra, rng.Intn(40)))
+		rc := ColTableOf(r)
 		rk := []int{0, 1}[:1+rng.Intn(2)]
 
-		want := buildSide(rt, rk)
-		e := NewExec(4).WithMorselSize(3)
-		pt := e.buildPartitioned(rt, rk)
-
-		total := 0
-		for _, mp := range pt.parts {
-			if mp != nil {
-				total += mp.n
-			}
+		seq := NewExec(1)
+		par := NewExec(4).WithMorselSize(3)
+		sb := seq.buildHash(rc, rk, false, -1)
+		pb := par.buildHash(rc, rk, true, -1)
+		if pb.pt == nil {
+			t.Fatal("parallel build is not partitioned")
 		}
-		if total != len(want) {
-			t.Fatalf("partitioned table has %d keys, sequential %d", total, len(want))
+		if got, want := builtKeys(pb), builtKeys(sb); got != want {
+			t.Fatalf("partitioned table has %d keys, sequential %d", got, want)
 		}
-		for key, rows := range want {
-			got := pt.lookup([]byte(key))
-			if fmt.Sprint(got) != fmt.Sprint(rows) {
-				t.Fatalf("postings differ for key %q: want %v got %v", key, rows, got)
-			}
+		if got, want := builtKeys(sb), distinctBuildKeys(r, rk); got != want {
+			t.Fatalf("sequential table has %d keys, model %d", got, want)
 		}
+		checkPostings(t, fmt.Sprintf("trial %d sequential", trial), seq, sb, r, r, rk, rk)
+		checkPostings(t, fmt.Sprintf("trial %d partitioned", trial), par, pb, r, r, rk, rk)
 	}
 }

@@ -83,15 +83,15 @@ func TestPoolOperatorsBitIdentical(t *testing.T) {
 	defer p.Close()
 	ex := NewExec(8).WithMorselSize(2).WithPool(p)
 	for trial := 0; trial < 20; trial++ {
-		l := TableOf(randomRel(rng, []string{"a", "b"}, 60))
-		r := TableOf(randomRel(rng, []string{"c", "d"}, 40))
-		want := HashJoin(l, r, []int{0}, []int{0})
-		got := ex.HashJoin(l, r, []int{0}, []int{0})
-		sameRel(t, want.Rel(), got.Rel(), []string{"a", "b", "c", "d"})
-
-		gwant := HashGroup(l, []string{"a"}, nil)
-		ggot := ex.HashGroup(l, []string{"a"}, nil)
-		sameRel(t, gwant.Rel(), ggot.Rel(), []string{"a"})
+		l := ColTableOf(TableOf(randomRel(rng, []string{"a", "b"}, 60)))
+		r := ColTableOf(TableOf(randomRel(rng, []string{"c", "d"}, 40)))
+		seq := NewExec(1)
+		identicalTables(t, "join",
+			seq.BatchHashJoin(l, r, []int{0}, []int{0}).Table(),
+			ex.BatchHashJoin(l, r, []int{0}, []int{0}).Table())
+		identicalTables(t, "group",
+			seq.BatchHashGroup(l, []string{"a"}, nil).Table(),
+			ex.BatchHashGroup(l, []string{"a"}, nil).Table())
 	}
 	if p.Stats().WorkerTasks+p.Stats().HelperTasks == 0 {
 		t.Fatal("pool executed no tasks — fan-out did not route through it")

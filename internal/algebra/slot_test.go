@@ -56,9 +56,9 @@ func sameRel(t *testing.T, want, got *Rel, attrs []string) {
 }
 
 // TestHashJoinsMatchNestedLoops is the operator-level equivalence
-// property: every hash operator must produce exactly the nested-loop
-// reference result, including NULL key semantics, padding defaults and
-// cross-kind numeric key equality.
+// property: every batch hash operator must produce exactly the
+// nested-loop reference result, in the reference order, including NULL
+// key semantics, padding defaults and cross-kind numeric key equality.
 func TestHashJoinsMatchNestedLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
@@ -73,7 +73,7 @@ func TestHashJoinsMatchNestedLoops(t *testing.T) {
 				tu["r.w"] = Int(int64(len(tu["r.w"].S)))
 			}
 		}
-		lt, rt := TableOf(l), TableOf(r)
+		lt, rt := ColTableOf(TableOf(l)), ColTableOf(TableOf(r))
 
 		nKeys := rng.Intn(3) // 0 keys = cross-product degeneration
 		var preds []Pred
@@ -85,46 +85,33 @@ func TestHashJoinsMatchNestedLoops(t *testing.T) {
 		}
 		pred := AndPred(preds...)
 
-		sameRel(t, Join(l, r, pred), HashJoin(lt, rt, lk, rk).Rel(), append(la, ra...))
-		sameRel(t, SemiJoin(l, r, pred), HashSemiJoin(lt, rt, lk, rk).Rel(), la)
-		sameRel(t, AntiJoin(l, r, pred), HashAntiJoin(lt, rt, lk, rk).Rel(), la)
-
 		var defs Defaults
 		pad := NullRow(rt.Schema)
 		if rng.Intn(2) == 0 {
 			defs = Defaults{"r.w": Int(1)}
 			pad[rt.Schema.MustSlot("r.w")] = Int(1)
 		}
-		sameRel(t, LeftOuter(l, r, pred, defs),
-			HashLeftOuter(lt, rt, lk, rk, pad).Rel(), append(la, ra...))
-
 		lpad := NullRow(lt.Schema)
-		sameRel(t, FullOuter(l, r, pred, nil, defs),
-			HashFullOuter(lt, rt, lk, rk, lpad, pad).Rel(), append(la, ra...))
-
 		gjVec := aggfn.Vector{
 			{Out: "gj_cnt", Kind: aggfn.CountStar},
 			{Out: "gj_sum", Kind: aggfn.Sum, Arg: "r.w"},
 			{Out: "gj_min", Kind: aggfn.Min, Arg: "r.w"},
 		}
-		sameRel(t, GroupJoin(l, r, pred, gjVec),
-			HashGroupJoin(lt, rt, lk, rk, gjVec).Rel(),
-			append(la, "gj_cnt", "gj_sum", "gj_min"))
 
-		// Workers>1 arm: the morsel-parallel variants must reproduce
-		// the same nested-loop reference, output order included. Tiny
-		// morsels force real fan-out even on these small inputs.
-		par := NewExec(3).WithMorselSize(2)
-		sameRel(t, Join(l, r, pred), par.HashJoin(lt, rt, lk, rk).Rel(), append(la, ra...))
-		sameRel(t, SemiJoin(l, r, pred), par.HashSemiJoin(lt, rt, lk, rk).Rel(), la)
-		sameRel(t, AntiJoin(l, r, pred), par.HashAntiJoin(lt, rt, lk, rk).Rel(), la)
-		sameRel(t, LeftOuter(l, r, pred, defs),
-			par.HashLeftOuter(lt, rt, lk, rk, pad).Rel(), append(la, ra...))
-		sameRel(t, FullOuter(l, r, pred, nil, defs),
-			par.HashFullOuter(lt, rt, lk, rk, lpad, pad).Rel(), append(la, ra...))
-		sameRel(t, GroupJoin(l, r, pred, gjVec),
-			par.HashGroupJoin(lt, rt, lk, rk, gjVec).Rel(),
-			append(la, "gj_cnt", "gj_sum", "gj_min"))
+		// The sequential operators, and the morsel-parallel variants
+		// (workers>1): tiny morsels force real fan-out even on these
+		// small inputs, and the output order must stay the reference's.
+		for _, ex := range []*Exec{NewExec(1), NewExec(3).WithMorselSize(2)} {
+			sameAsRef(t, "join", Join(l, r, pred), ex.BatchHashJoin(lt, rt, lk, rk))
+			sameAsRef(t, "semi", SemiJoin(l, r, pred), ex.BatchHashSemiJoin(lt, rt, lk, rk))
+			sameAsRef(t, "anti", AntiJoin(l, r, pred), ex.BatchHashAntiJoin(lt, rt, lk, rk))
+			sameAsRef(t, "leftouter", LeftOuter(l, r, pred, defs),
+				ex.BatchHashLeftOuter(lt, rt, lk, rk, pad))
+			sameAsRef(t, "fullouter", FullOuter(l, r, pred, nil, defs),
+				ex.BatchHashFullOuter(lt, rt, lk, rk, lpad, pad))
+			sameAsRef(t, "groupjoin", GroupJoin(l, r, pred, gjVec),
+				ex.BatchHashGroupJoin(lt, rt, lk, rk, gjVec))
+		}
 	}
 }
 
@@ -173,16 +160,14 @@ func TestHashGroupMatchesGroup(t *testing.T) {
 			e.Tuples = append(e.Tuples, tu)
 		}
 		g := []string{"e.g1", "e.g2"}[:1+rng.Intn(2)]
-		et := TableOf(e)
+		et := ColTableOf(TableOf(e))
 		want := Group(e, g, vec)
-		got := HashGroup(et, g, vec)
-		outAttrs := append(append([]string{}, g...), vec.Outs()...)
-		sameRel(t, want, got.Rel(), outAttrs)
+		sameAsRef(t, "group", want, NewExec(1).BatchHashGroup(et, g, vec))
 
 		// Workers>1 arm: partition-parallel aggregation against the
 		// same reference, for every aggregate kind.
 		par := NewExec(4).WithMorselSize(3)
-		sameRel(t, want, par.HashGroup(et, g, vec).Rel(), outAttrs)
+		sameAsRef(t, "parallel group", want, par.BatchHashGroup(et, g, vec))
 	}
 }
 
@@ -204,9 +189,9 @@ func TestGroupingKeyCollision(t *testing.T) {
 	if d := DistinctProject(rel, []string{"x", "y"}); d.Card() != 2 {
 		t.Fatalf("DistinctProject merged distinct tuples: got %d rows\n%v", d.Card(), d)
 	}
-	tab := TableOf(rel)
-	if g := HashGroup(tab, []string{"x", "y"}, aggfn.Vector{{Out: "c", Kind: aggfn.CountStar}}); g.Card() != 2 {
-		t.Fatalf("HashGroup merged distinct groups: got %d groups", g.Card())
+	tab := ColTableOf(TableOf(rel))
+	if g := NewExec(1).BatchHashGroup(tab, []string{"x", "y"}, aggfn.Vector{{Out: "c", Kind: aggfn.CountStar}}); g.Card() != 2 {
+		t.Fatalf("BatchHashGroup merged distinct groups: got %d groups", g.Card())
 	}
 	// The simpler shape from the issue: a value containing the separator
 	// must not merge with the tuple of its fragments.
@@ -227,20 +212,21 @@ func TestNaNKeySemantics(t *testing.T) {
 	nan := Float(math.NaN())
 	l := NewRel([]string{"l.k"}, []any{nan}, []any{1.5})
 	r := NewRel([]string{"r.k"}, []any{nan}, []any{1.5})
-	lt, rt := TableOf(l), TableOf(r)
+	lt, rt := ColTableOf(TableOf(l)), ColTableOf(TableOf(r))
 	lk, rk := []int{0}, []int{0}
 	pred := EqAttr("l.k", "r.k")
+	ex := NewExec(1)
 
-	sameRel(t, Join(l, r, pred), HashJoin(lt, rt, lk, rk).Rel(), []string{"l.k", "r.k"})
-	sameRel(t, AntiJoin(l, r, pred), HashAntiJoin(lt, rt, lk, rk).Rel(), []string{"l.k"})
-	if got := HashJoin(lt, rt, lk, rk); got.Card() != 1 {
+	sameAsRef(t, "join", Join(l, r, pred), ex.BatchHashJoin(lt, rt, lk, rk))
+	sameAsRef(t, "anti", AntiJoin(l, r, pred), ex.BatchHashAntiJoin(lt, rt, lk, rk))
+	if got := ex.BatchHashJoin(lt, rt, lk, rk); got.Card() != 1 {
 		t.Fatalf("NaN join keys must match nothing: got %d rows", got.Card())
 	}
 
 	g := NewRel([]string{"g"}, []any{nan}, []any{Float(math.Float64frombits(0x7ff8000000000001))})
-	gt := TableOf(g)
+	gt := ColTableOf(TableOf(g))
 	want := Group(g, []string{"g"}, aggfn.Vector{{Out: "c", Kind: aggfn.CountStar}})
-	got := HashGroup(gt, []string{"g"}, aggfn.Vector{{Out: "c", Kind: aggfn.CountStar}})
+	got := ex.BatchHashGroup(gt, []string{"g"}, aggfn.Vector{{Out: "c", Kind: aggfn.CountStar}})
 	if want.Card() != 1 || got.Card() != 1 {
 		t.Fatalf("NaN payloads must form one group: reference %d, hash %d", want.Card(), got.Card())
 	}

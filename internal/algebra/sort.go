@@ -1,7 +1,7 @@
 package algebra
 
 // Sort-based physical operators: streaming sort-merge equi-joins
-// (inner/semi/anti/leftouter) and sort-group aggregation over slot-based
+// (inner/semi/anti/leftouter) and sort-group aggregation over columnar
 // tables — the second physical layer beside the hash operators.
 //
 // Every operator here emits the *hash-canonical output sequence*: the
@@ -20,6 +20,15 @@ package algebra
 //     which is exactly the contractual order propagation the optimizer
 //     assumes (internal/ordering): orders originate at sorted scans and
 //     survive through the sort-based layer.
+//
+// The operators reuse the batch machinery of the hash layer: merge joins
+// emit (left, right) physical index pairs into the typed column gather
+// (gatherConcat), semi- and antijoins return selection vectors over the
+// shared input columns (selTable), and sort-group folds through the
+// shared accumulator core (aggCell.updateVals). Internally they work on
+// logical row indices; because selection vectors are monotone, logical
+// order is physical order, so inputs under a selection behave exactly
+// like their compacted form.
 //
 // When an input's sort is *eliminated* (the optimizer proved its
 // contractual order covers the requirement), the operator does not
@@ -47,7 +56,7 @@ import (
 
 // compareJoinValue is the total order behind merge joins. Its equality
 // coincides with join-key equality (strict, numeric across int/float —
-// Int(2) = Float(2.0), like appendJoinKey's normalization); NULL and NaN
+// Int(2) = Float(2.0), like encodeJoin's normalization); NULL and NaN
 // never reach it (rows with such keys are filtered like in the hash
 // operators). Mixed number/string keys order numbers first — consistent
 // on both sides, which is all a merge needs.
@@ -83,7 +92,7 @@ func compareJoinValue(a, b Value) int {
 
 // compareGroupValue is the total order behind sort-group aggregation.
 // Its equality coincides with grouping equality (NULL = NULL, all NaNs
-// one group, otherwise kind-sensitive like appendRowKey): values that
+// one group, otherwise kind-sensitive like encodeGroup): values that
 // hash aggregation keeps apart never compare equal here.
 func compareGroupValue(a, b Value) int {
 	ra, rb := groupRank(a), groupRank(b)
@@ -117,37 +126,102 @@ func groupRank(v Value) int {
 	return 2
 }
 
-// compareKeySeq compares two rows' key sequences under cmp.
-func compareKeySeq(a Row, ak []int, b Row, bk []int, cmp func(Value, Value) int) int {
-	for i := range ak {
-		if c := cmp(a.get(ak[i]), b.get(bk[i])); c != 0 {
+// ---------------------------------------------------------------------
+// Key columns
+// ---------------------------------------------------------------------
+
+// keyCols holds the key slots of one input materialized per slot in
+// logical row order: the comparators' random-access view of a columnar
+// table. Slot -1 reads as a NULL column, like colValue.
+type keyCols [][]Value
+
+// keyColumns materializes t's key slots.
+func keyColumns(t *ColTable, slots []int) keyCols {
+	n := t.Card()
+	out := make(keyCols, len(slots))
+	for k, s := range slots {
+		vals := make([]Value, n)
+		if s >= 0 {
+			col := &t.Cols[s]
+			for i := range vals {
+				vals[i] = col.Value(int(t.phys(i)))
+			}
+		}
+		out[k] = vals
+	}
+	return out
+}
+
+// compare compares logical row i of a with logical row j of b under cmp.
+func (a keyCols) compare(i int32, b keyCols, j int32, cmp func(Value, Value) int) int {
+	for k := range a {
+		if c := cmp(a[k][i], b[k][j]); c != 0 {
 			return c
 		}
 	}
 	return 0
 }
 
+// hasNull reports whether logical row i has a NULL or NaN key component —
+// such rows match nothing under strict (join) equality: NULL by SQL
+// semantics, NaN because NaN ≠ NaN, exactly as the reference operators'
+// EqStrict comparison behaves.
+func (a keyCols) hasNull(i int) bool {
+	for _, vals := range a {
+		if v := vals[i]; v.IsNull() || (v.Kind == KindFloat && math.IsNaN(v.F)) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameGroup reports whether logical rows i and j share a grouping key
+// under exactly the equality of the hash layer's key encoding
+// (appendKeyValue): kind-sensitive, NULL = NULL, all NaNs one group,
+// other floats by bit pattern.
+func (a keyCols) sameGroup(i, j int) bool {
+	for _, vals := range a {
+		x, y := vals[i], vals[j]
+		if x.Kind != y.Kind {
+			return false
+		}
+		switch x.Kind {
+		case KindInt:
+			if x.I != y.I {
+				return false
+			}
+		case KindString:
+			if x.S != y.S {
+				return false
+			}
+		case KindFloat:
+			if math.Float64bits(x.F) != math.Float64bits(y.F) && !(math.IsNaN(x.F) && math.IsNaN(y.F)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // ---------------------------------------------------------------------
 // Index preparation: verified (eliminated sort) or sorted (performed)
 // ---------------------------------------------------------------------
 
-// verifiedJoinIndex returns the indices of t's rows with non-NULL keys in
-// input order, verifying the contractual claim that the kept rows are
-// non-decreasing under the join comparator. A violation is an execution
-// error: the scan-order declaration (or an unsound order inference) lied
-// about the data.
-func verifiedJoinIndex(t *Table, ks []int) ([]int32, error) {
-	idx := make([]int32, 0, len(t.Rows))
+// verifiedJoinIndex returns the logical indices of the n rows with
+// non-NULL keys in input order, verifying the contractual claim that the
+// kept rows are non-decreasing under the join comparator. A violation is
+// an execution error: the scan-order declaration (or an unsound order
+// inference) lied about the data.
+func verifiedJoinIndex(ks keyCols, n int) ([]int32, error) {
+	idx := make([]int32, 0, n)
 	prev := int32(-1)
-	for i, row := range t.Rows {
-		if rowHasNullKey(row, ks) {
+	for i := 0; i < n; i++ {
+		if ks.hasNull(i) {
 			continue
 		}
-		if prev >= 0 {
-			if compareKeySeq(t.Rows[prev], ks, row, ks, compareJoinValue) > 0 {
-				return nil, fmt.Errorf(
-					"algebra: input declared sorted on merge keys but row %d is out of order (violated scan-order declaration)", i)
-			}
+		if prev >= 0 && ks.compare(prev, ks, int32(i), compareJoinValue) > 0 {
+			return nil, fmt.Errorf(
+				"algebra: input declared sorted on merge keys but row %d is out of order (violated scan-order declaration)", i)
 		}
 		prev = int32(i)
 		idx = append(idx, int32(i))
@@ -155,21 +229,21 @@ func verifiedJoinIndex(t *Table, ks []int) ([]int32, error) {
 	return idx, nil
 }
 
-// sortedIndexBy returns row indices ordered by (key, original index)
-// under cmp — a total order, so the permutation is unique and identical
-// for every worker count. With filterNull set, rows with NULL/NaN key
-// components are dropped first (join semantics); otherwise every row
-// participates (grouping semantics).
-func (e *Exec) sortedIndexBy(t *Table, ks []int, cmp func(Value, Value) int, filterNull bool) []int32 {
-	idx := make([]int32, 0, len(t.Rows))
-	for i, row := range t.Rows {
-		if filterNull && rowHasNullKey(row, ks) {
+// sortedIndexBy returns the logical indices of the n rows ordered by
+// (key, index) under cmp — a total order, so the permutation is unique
+// and identical for every worker count. With filterNull set, rows with
+// NULL/NaN key components are dropped first (join semantics); otherwise
+// every row participates (grouping semantics).
+func (e *Exec) sortedIndexBy(ks keyCols, n int, cmp func(Value, Value) int, filterNull bool) []int32 {
+	idx := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		if filterNull && ks.hasNull(i) {
 			continue
 		}
 		idx = append(idx, int32(i))
 	}
 	less := func(a, b int32) bool {
-		if c := compareKeySeq(t.Rows[a], ks, t.Rows[b], ks, cmp); c != 0 {
+		if c := ks.compare(a, ks, b, cmp); c != 0 {
 			return c < 0
 		}
 		return a < b
@@ -228,11 +302,11 @@ func mergeRuns(a, b []int32, less func(x, y int32) bool) []int32 {
 
 // joinIndex prepares one merge input: verified input order when the sort
 // is eliminated, (key, index)-sorted otherwise.
-func (e *Exec) joinIndex(t *Table, ks []int, needSort bool) ([]int32, error) {
+func (e *Exec) joinIndex(ks keyCols, n int, needSort bool) ([]int32, error) {
 	if needSort {
-		return e.sortedIndexBy(t, ks, compareJoinValue, true), nil
+		return e.sortedIndexBy(ks, n, compareJoinValue, true), nil
 	}
-	return verifiedJoinIndex(t, ks)
+	return verifiedJoinIndex(ks, n)
 }
 
 // ---------------------------------------------------------------------
@@ -243,30 +317,30 @@ func (e *Exec) joinIndex(t *Table, ks []int, needSort bool) ([]int32, error) {
 const noRange = int32(-1)
 
 // matchRanges walks the two prepared index streams once and returns, per
-// original left row, the half-open range into rIdx holding its join
+// logical left row, the half-open range into rIdx holding its join
 // partners. Rows absent from lIdx (NULL keys) keep noRange. Within one
 // range, rIdx ascends — for a performed sort by the (key, index) order,
 // for a verified input by construction — so partners are emitted in
 // right-input order, exactly like a hash build's posting list.
-func matchRanges(l, r *Table, lIdx, rIdx []int32, lk, rk []int) [][2]int32 {
-	ranges := make([][2]int32, len(l.Rows))
+func matchRanges(nl int, lk, rk keyCols, lIdx, rIdx []int32) [][2]int32 {
+	ranges := make([][2]int32, nl)
 	for i := range ranges {
 		ranges[i] = [2]int32{noRange, noRange}
 	}
 	j := 0
 	for i := 0; i < len(lIdx); {
-		lrow := l.Rows[lIdx[i]]
+		lrow := lIdx[i]
 		// Left key group [i, i2).
 		i2 := i + 1
-		for i2 < len(lIdx) && compareKeySeq(l.Rows[lIdx[i2]], lk, lrow, lk, compareJoinValue) == 0 {
+		for i2 < len(lIdx) && lk.compare(lIdx[i2], lk, lrow, compareJoinValue) == 0 {
 			i2++
 		}
 		// Advance the right stream to the group's key.
-		for j < len(rIdx) && compareKeySeq(r.Rows[rIdx[j]], rk, lrow, lk, compareJoinValue) < 0 {
+		for j < len(rIdx) && rk.compare(rIdx[j], lk, lrow, compareJoinValue) < 0 {
 			j++
 		}
 		j2 := j
-		for j2 < len(rIdx) && compareKeySeq(r.Rows[rIdx[j2]], rk, lrow, lk, compareJoinValue) == 0 {
+		for j2 < len(rIdx) && rk.compare(rIdx[j2], lk, lrow, compareJoinValue) == 0 {
 			j2++
 		}
 		if j2 > j {
@@ -289,11 +363,12 @@ func matchRanges(l, r *Table, lIdx, rIdx []int32, lk, rk []int) [][2]int32 {
 // (grouping comparator: NULLs first, kind-refined). Adjacent pairs are
 // checked morsel-parallel; a violation is an execution error — the
 // scan-order declaration (or an unsound inference) lied about the data.
-func (e *Exec) verifyOrderedBy(t *Table, slots []int) error {
-	n := len(t.Rows)
+func (e *Exec) verifyOrderedBy(t *ColTable, slots []int) error {
+	n := t.Card()
 	if len(slots) == 0 || n < 2 {
 		return nil
 	}
+	ks := keyColumns(t, slots)
 	viol := make([]int, e.morselCount(n))
 	for i := range viol {
 		viol[i] = -1
@@ -303,7 +378,7 @@ func (e *Exec) verifyOrderedBy(t *Table, slots []int) error {
 			lo = 1
 		}
 		for i := lo; i < hi; i++ {
-			if compareKeySeq(t.Rows[i-1], slots, t.Rows[i], slots, compareGroupValue) > 0 {
+			if ks.compare(int32(i-1), ks, int32(i), compareGroupValue) > 0 {
 				viol[m] = i
 				return
 			}
@@ -322,16 +397,62 @@ func (e *Exec) verifyOrderedBy(t *Table, slots []int) error {
 
 // mergePrepare runs both index preparations and the merge walk — the
 // shared first half of every merge join.
-func (e *Exec) mergePrepare(l, r *Table, lk, rk []int, sortL, sortR bool) ([]int32, [][2]int32, error) {
-	lIdx, err := e.joinIndex(l, lk, sortL)
+func (e *Exec) mergePrepare(l, r *ColTable, lk, rk []int, sortL, sortR bool) ([]int32, [][2]int32, error) {
+	lks, rks := keyColumns(l, lk), keyColumns(r, rk)
+	lIdx, err := e.joinIndex(lks, l.Card(), sortL)
 	if err != nil {
 		return nil, nil, fmt.Errorf("merge join, left input: %w", err)
 	}
-	rIdx, err := e.joinIndex(r, rk, sortR)
+	rIdx, err := e.joinIndex(rks, r.Card(), sortR)
 	if err != nil {
 		return nil, nil, fmt.Errorf("merge join, right input: %w", err)
 	}
-	return rIdx, matchRanges(l, r, lIdx, rIdx, lk, rk), nil
+	return rIdx, matchRanges(l.Card(), lks, rks, lIdx, rIdx), nil
+}
+
+// mergePairs expands the match ranges into the (left, right) physical
+// index pairs of the join output, in left-input order with partners in
+// right-input order. With outer set, a left row without partners emits
+// one (left, -1) pair — the padded row.
+func mergePairs(l, r *ColTable, rIdx []int32, ranges [][2]int32, outer bool) (lidx, ridx []int32) {
+	total := 0
+	for _, rg := range ranges {
+		if rg[0] == noRange {
+			if outer {
+				total++
+			}
+			continue
+		}
+		total += int(rg[1] - rg[0])
+	}
+	lidx = make([]int32, 0, total)
+	ridx = make([]int32, 0, total)
+	for i, rg := range ranges {
+		if rg[0] == noRange {
+			if outer {
+				lidx = append(lidx, l.phys(i))
+				ridx = append(ridx, -1)
+			}
+			continue
+		}
+		for j := rg[0]; j < rg[1]; j++ {
+			lidx = append(lidx, l.phys(i))
+			ridx = append(ridx, r.phys(int(rIdx[j])))
+		}
+	}
+	return lidx, ridx
+}
+
+// mergeSelect returns the selection of left rows whose partner status
+// equals matched — the semijoin (true) or antijoin (false) output.
+func mergeSelect(l *ColTable, ranges [][2]int32, matched bool) *ColTable {
+	var sel []int32
+	for i, rg := range ranges {
+		if (rg[0] != noRange) == matched {
+			sel = append(sel, l.phys(i))
+		}
+	}
+	return selTable(l, sel)
 }
 
 // ---------------------------------------------------------------------
@@ -342,134 +463,125 @@ func (e *Exec) mergePrepare(l, r *Table, lk, rk []int, sortL, sortR bool) ([]int
 // and sortR say which inputs must be sorted; a false flag is the
 // eliminated-sort case and requires (and verifies) that the input is
 // already non-decreasing on its key slots. The output sequence equals
-// HashJoin's exactly.
-func (e *Exec) MergeJoin(l, r *Table, lk, rk []int, sortL, sortR bool) (*Table, error) {
-	e = e.seqFor(max(len(l.Rows), len(r.Rows)))
-	out := &Table{Schema: l.Schema.Concat(r.Schema)}
+// BatchHashJoin's exactly.
+func (e *Exec) MergeJoin(l, r *ColTable, lk, rk []int, sortL, sortR bool) (*ColTable, error) {
+	e = e.seqFor(max(l.Card(), r.Card()))
 	rIdx, ranges, err := e.mergePrepare(l, r, lk, rk, sortL, sortR)
 	if err != nil {
 		return nil, err
 	}
-	width := out.Schema.Len()
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		var chunk []Row
-		ar := newRowArena(width)
-		for i := lo; i < hi; i++ {
-			rg := ranges[i]
-			for j := rg[0]; j < rg[1]; j++ {
-				chunk = append(chunk, ar.concat(l.Rows[i], r.Rows[rIdx[j]]))
-			}
-		}
-		return chunk
-	})
-	return out, nil
+	lidx, ridx := mergePairs(l, r, rIdx, ranges, false)
+	return e.gatherConcat(l, r, lidx, ridx, nil, nil, e.par()), nil
 }
 
-// MergeSemiJoin is the left semijoin l ⋉ r on the sort-based layer.
-func (e *Exec) MergeSemiJoin(l, r *Table, lk, rk []int, sortL, sortR bool) (*Table, error) {
-	e = e.seqFor(max(len(l.Rows), len(r.Rows)))
-	out := &Table{Schema: l.Schema}
+// MergeSemiJoin is the left semijoin l ⋉ r on the sort-based layer: a
+// selection over l's columns, like BatchHashSemiJoin.
+func (e *Exec) MergeSemiJoin(l, r *ColTable, lk, rk []int, sortL, sortR bool) (*ColTable, error) {
+	e = e.seqFor(max(l.Card(), r.Card()))
 	_, ranges, err := e.mergePrepare(l, r, lk, rk, sortL, sortR)
 	if err != nil {
 		return nil, err
 	}
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		var chunk []Row
-		for i := lo; i < hi; i++ {
-			if ranges[i][0] != noRange {
-				chunk = append(chunk, l.Rows[i])
-			}
-		}
-		return chunk
-	})
-	return out, nil
+	return mergeSelect(l, ranges, true), nil
 }
 
 // MergeAntiJoin is the left antijoin l ▷ r on the sort-based layer. Left
 // rows with NULL key components are kept, like in the hash operator.
-func (e *Exec) MergeAntiJoin(l, r *Table, lk, rk []int, sortL, sortR bool) (*Table, error) {
-	e = e.seqFor(max(len(l.Rows), len(r.Rows)))
-	out := &Table{Schema: l.Schema}
+func (e *Exec) MergeAntiJoin(l, r *ColTable, lk, rk []int, sortL, sortR bool) (*ColTable, error) {
+	e = e.seqFor(max(l.Card(), r.Card()))
 	_, ranges, err := e.mergePrepare(l, r, lk, rk, sortL, sortR)
 	if err != nil {
 		return nil, err
 	}
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		var chunk []Row
-		for i := lo; i < hi; i++ {
-			if ranges[i][0] == noRange {
-				chunk = append(chunk, l.Rows[i])
-			}
-		}
-		return chunk
-	})
-	return out, nil
+	return mergeSelect(l, ranges, false), nil
 }
 
 // MergeLeftOuter is the left outerjoin on the sort-based layer. pad must
 // be a full row over r's schema (the engine's default vectors).
-func (e *Exec) MergeLeftOuter(l, r *Table, lk, rk []int, sortL, sortR bool, pad Row) (*Table, error) {
-	e = e.seqFor(max(len(l.Rows), len(r.Rows)))
-	out := &Table{Schema: l.Schema.Concat(r.Schema)}
+func (e *Exec) MergeLeftOuter(l, r *ColTable, lk, rk []int, sortL, sortR bool, pad Row) (*ColTable, error) {
+	e = e.seqFor(max(l.Card(), r.Card()))
 	rIdx, ranges, err := e.mergePrepare(l, r, lk, rk, sortL, sortR)
 	if err != nil {
 		return nil, err
 	}
-	width := out.Schema.Len()
-	e.probeMorsels(l, out, func(lo, hi int) []Row {
-		var chunk []Row
-		ar := newRowArena(width)
-		for i := lo; i < hi; i++ {
-			rg := ranges[i]
-			if rg[0] == noRange {
-				chunk = append(chunk, ar.concat(l.Rows[i], pad))
-				continue
-			}
-			for j := rg[0]; j < rg[1]; j++ {
-				chunk = append(chunk, ar.concat(l.Rows[i], r.Rows[rIdx[j]]))
-			}
-		}
-		return chunk
-	})
-	return out, nil
+	lidx, ridx := mergePairs(l, r, rIdx, ranges, true)
+	return e.gatherConcat(l, r, lidx, ridx, nil, pad, e.par()), nil
 }
 
 // SortGroup is sort-group aggregation: the sort-based counterpart of
-// HashGroup. With sortInput false the input's contractual order already
-// makes every group a consecutive run, and the operator streams over the
-// input aggregating run by run — zero reorganization. With sortInput
-// true it orders rows by (grouping key, input index) first. Either way
-// every group folds its rows in input order and groups are emitted in
-// first-encounter order: the output is bit-identical to HashGroup.
-func (e *Exec) SortGroup(t *Table, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (*Table, error) {
-	e = e.seqFor(len(t.Rows))
+// BatchHashGroup. With sortInput false the input's contractual order
+// already makes every group a consecutive run, and the operator streams
+// over the input aggregating run by run — zero reorganization. With
+// sortInput true it orders rows by (grouping key, input index) first.
+// Either way every group folds its rows in input order and groups are
+// emitted in first-encounter order: the output is bit-identical to
+// BatchHashGroup.
+func (e *Exec) SortGroup(t *ColTable, groupBy []string, f aggfn.Vector, sortInput bool, verify []int) (*ColTable, error) {
+	e = e.seqFor(t.Card())
 	bound := BindVector(f, t.Schema)
-	groupSlots := t.Schema.Slots(groupBy)
+	keys := keyColumns(t, t.Schema.Slots(groupBy))
 	names := make([]string, 0, len(groupBy)+len(f))
 	names = append(names, groupBy...)
 	names = append(names, f.Outs()...)
-	out := &Table{Schema: NewSchema(names)}
+	outSchema := NewSchema(names)
 
 	if !sortInput {
 		if err := e.verifyOrderedBy(t, verify); err != nil {
 			return nil, err
 		}
-		e.streamRuns(t, groupSlots, bound, out)
-		return out, nil
+		return colTableFromRows(outSchema, e.streamRuns(t, keys, bound)), nil
 	}
 
-	idx := e.sortedIndexBy(t, groupSlots, compareGroupValue, false)
+	idx := e.sortedIndexBy(keys, t.Card(), compareGroupValue, false)
 	// Runs of equal keys are contiguous in idx and internally ascend by
 	// original index, so folding a run front to back is folding the
 	// group in input order. Emitting the finished groups by ascending
 	// first (= minimal original) index restores first-encounter order.
-	groups := e.foldSortedRuns(t, idx, groupSlots, bound)
+	groups := e.foldSortedRuns(t, keys, idx, bound)
 	sort.Slice(groups, func(i, j int) bool { return groups[i].first < groups[j].first })
-	out.Rows = make([]Row, len(groups))
+	rows := make([]Row, len(groups))
 	for i, g := range groups {
-		out.Rows[i] = g.row
+		rows[i] = g.row
 	}
-	return out, nil
+	return colTableFromRows(outSchema, rows), nil
+}
+
+// groupFold folds the logical rows of one group at a time through the
+// shared accumulator core and finishes them into output rows.
+type groupFold struct {
+	t       *ColTable
+	keys    keyCols
+	bound   []BoundAgg
+	cells   []aggCell
+	scratch []byte
+}
+
+func newGroupFold(t *ColTable, keys keyCols, bound []BoundAgg) *groupFold {
+	return &groupFold{t: t, keys: keys, bound: bound, cells: make([]aggCell, len(bound))}
+}
+
+// add folds logical row i into the current group.
+func (g *groupFold) add(i int32) {
+	p := g.t.phys(int(i))
+	for c := range g.bound {
+		a := &g.bound[c]
+		g.cells[c].updateVals(a, colValue(g.t, a.Arg, p), colValue(g.t, a.Arg2, p), colValue(g.t, a.Wgt, p), &g.scratch)
+	}
+}
+
+// finish emits the current group — the grouping values of its first
+// logical row followed by the finished aggregates — and resets the
+// accumulators for the next group.
+func (g *groupFold) finish(first int32) Row {
+	row := make(Row, 0, len(g.keys)+len(g.bound))
+	for _, vals := range g.keys {
+		row = append(row, vals[first])
+	}
+	for c := range g.bound {
+		row = append(row, g.cells[c].final(&g.bound[c]))
+		g.cells[c] = aggCell{}
+	}
+	return row
 }
 
 // foldSortedRuns folds each equal-key run of the sorted index into one
@@ -477,18 +589,35 @@ func (e *Exec) SortGroup(t *Table, groupBy []string, f aggfn.Vector, sortInput b
 // function of the data, and each run is owned start to finish by the
 // task whose original span contains its first element, so the result is
 // identical for every worker count.
-func (e *Exec) foldSortedRuns(t *Table, idx []int32, groupSlots []int, bound []BoundAgg) []groupOut {
-	sameKey := func(a, b int32) bool {
-		return compareKeySeq(t.Rows[a], groupSlots, t.Rows[b], groupSlots, compareGroupValue) == 0
-	}
-	runStart := func(p int) bool { return p == 0 || !sameKey(idx[p-1], idx[p]) }
+func (e *Exec) foldSortedRuns(t *ColTable, keys keyCols, idx []int32, bound []BoundAgg) []groupOut {
 	n := len(idx)
+	sameKey := func(a, b int32) bool { return keys.compare(a, keys, b, compareGroupValue) == 0 }
+	// fold folds every run starting in [lo, hi) to completion (a run may
+	// extend past hi; runs starting before lo belong to earlier spans).
+	fold := func(lo, hi int) []groupOut {
+		var outs []groupOut
+		g := newGroupFold(t, keys, bound)
+		p := lo
+		for p < hi && p > 0 && sameKey(idx[p-1], idx[p]) {
+			p++
+		}
+		for p < hi {
+			end := p
+			for end < n && sameKey(idx[p], idx[end]) {
+				g.add(idx[end])
+				end++
+			}
+			outs = append(outs, groupOut{first: idx[p], row: g.finish(idx[p])})
+			p = end
+		}
+		return outs
+	}
 	if !e.parFor(n) {
-		return foldRunRange(t, idx, 0, n, n, groupSlots, bound, sameKey, runStart)
+		return fold(0, n)
 	}
 	chunks := make([][]groupOut, e.morselCount(n))
 	e.forMorsels(n, func(m, lo, hi int) {
-		chunks[m] = foldRunRange(t, idx, lo, hi, n, groupSlots, bound, sameKey, runStart)
+		chunks[m] = fold(lo, hi)
 	})
 	var all []groupOut
 	for _, c := range chunks {
@@ -497,100 +626,32 @@ func (e *Exec) foldSortedRuns(t *Table, idx []int32, groupSlots []int, bound []B
 	return all
 }
 
-// foldRunRange folds every run starting in [lo, hi) to completion (a run
-// may extend past hi; runs starting before lo belong to earlier spans).
-func foldRunRange(t *Table, idx []int32, lo, hi, n int, groupSlots []int, bound []BoundAgg,
-	sameKey func(a, b int32) bool, runStart func(p int) bool) []groupOut {
-	var outs []groupOut
-	var scratch []byte
-	p := lo
-	for p < hi && !runStart(p) {
-		p++
-	}
-	for p < hi {
-		end := p + 1
-		for end < n && sameKey(idx[p], idx[end]) {
-			end++
-		}
-		rep := make(Row, len(groupSlots))
-		for i, s := range groupSlots {
-			rep[i] = t.Rows[idx[p]].get(s)
-		}
-		cells := make([]aggCell, len(bound))
-		for q := p; q < end; q++ {
-			row := t.Rows[idx[q]]
-			for i := range bound {
-				cells[i].update(&bound[i], row, &scratch)
-			}
-		}
-		row := make(Row, 0, len(groupSlots)+len(bound))
-		row = append(row, rep...)
-		for i := range bound {
-			row = append(row, cells[i].final(&bound[i]))
-		}
-		outs = append(outs, groupOut{first: idx[p], row: row})
-		p = end
-	}
-	return outs
-}
-
 // streamRuns is the eliminated-sort aggregation: the input's order makes
 // every group one consecutive run, so a single pass folds runs in place.
-// Boundaries are detected with the same collision-proof key encoding the
-// hash layer groups by, so run equality is exactly hash-group equality.
-func (e *Exec) streamRuns(t *Table, groupSlots []int, bound []BoundAgg, out *Table) {
-	n := len(t.Rows)
+// Boundaries use exactly the hash layer's grouping equality (sameGroup),
+// so run equality is hash-group equality.
+func (e *Exec) streamRuns(t *ColTable, keys keyCols, bound []BoundAgg) []Row {
+	n := t.Card()
 	fold := func(lo, hi int) []Row { // runs starting in [lo,hi), folded to completion
 		var chunk []Row
-		// Per-call (= per-morsel) reusable key buffers: run-boundary
-		// detection and the distinct accumulators never allocate fresh
-		// encodings per row.
-		var key, next, scratch []byte
-		isStart := func(i int) bool {
-			if i == 0 {
-				return true
-			}
-			key = appendRowKey(key[:0], t.Rows[i-1], groupSlots)
-			next = appendRowKey(next[:0], t.Rows[i], groupSlots)
-			return string(key) != string(next)
-		}
+		g := newGroupFold(t, keys, bound)
 		p := lo
-		for p < hi && !isStart(p) {
+		for p < hi && p > 0 && keys.sameGroup(p-1, p) {
 			p++
 		}
 		for p < hi {
-			key = appendRowKey(key[:0], t.Rows[p], groupSlots)
-			end := p + 1
-			for end < n {
-				next = appendRowKey(next[:0], t.Rows[end], groupSlots)
-				if string(next) != string(key) {
-					break
-				}
+			end := p
+			for end < n && keys.sameGroup(p, end) {
+				g.add(int32(end))
 				end++
 			}
-			rep := make(Row, len(groupSlots))
-			for i, s := range groupSlots {
-				rep[i] = t.Rows[p].get(s)
-			}
-			cells := make([]aggCell, len(bound))
-			for q := p; q < end; q++ {
-				for i := range bound {
-					cells[i].update(&bound[i], t.Rows[q], &scratch)
-				}
-			}
-			row := make(Row, 0, len(groupSlots)+len(bound))
-			row = append(row, rep...)
-			for i := range bound {
-				row = append(row, cells[i].final(&bound[i]))
-			}
-			chunk = append(chunk, row)
+			chunk = append(chunk, g.finish(int32(p)))
 			p = end
 		}
 		return chunk
 	}
 	if !e.parFor(n) {
-		out.Rows = fold(0, n)
-		return
+		return fold(0, n)
 	}
 	chunks := make([][]Row, e.morselCount(n))
 	e.forMorsels(n, func(m, lo, hi int) {
@@ -600,8 +661,9 @@ func (e *Exec) streamRuns(t *Table, groupSlots []int, bound []BoundAgg, out *Tab
 	for _, c := range chunks {
 		total += len(c)
 	}
-	out.Rows = make([]Row, 0, total)
+	rows := make([]Row, 0, total)
 	for _, c := range chunks {
-		out.Rows = append(out.Rows, c...)
+		rows = append(rows, c...)
 	}
+	return rows
 }

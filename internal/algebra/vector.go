@@ -8,15 +8,16 @@ package algebra
 // column-kind dispatch per column per batch instead of a 40-byte
 // tagged-union load and a kind switch per value.
 //
-// Two invariants make the batch runtime bit-identical to the row runtime:
+// Two invariants make the batch operators bit-identical to the Value
+// semantics of the reference operators:
 //
 //   - A column is typed (ColInt/ColFloat/ColStr) only when every non-NULL
 //     value in it has that one kind; columns mixing kinds fall back to
 //     ColMixed, which stores tagged Values and routes every consumer
-//     through the exact row-runtime semantics. Typed fast paths therefore
+//     through the exact Value semantics. Typed fast paths therefore
 //     never have to guess a value's kind — the trajectory of every
 //     aggregate accumulator (int stays int, float stays float) equals the
-//     row runtime's by construction.
+//     Value arithmetic's by construction.
 //
 //   - Sel, the selection vector, is monotone increasing by construction:
 //     selections (semi/antijoin) filter rows, they never reorder them. A
@@ -41,11 +42,6 @@ func (t *ColTable) Card() int {
 	}
 	return t.N
 }
-
-// TabSchema returns the schema — the runtime-neutral accessor shared with
-// Table so the engine can hold either representation behind one
-// interface.
-func (t *ColTable) TabSchema() *Schema { return t.Schema }
 
 // phys maps a logical row index to its physical index.
 func (t *ColTable) phys(i int) int32 {
@@ -79,7 +75,7 @@ const (
 	// ColStr: every non-NULL value is KindString, payload in Strs.
 	ColStr
 	// ColMixed: values of several kinds; per-value tagged fallback in
-	// Vals. Consumers route through the row-runtime Value semantics.
+	// Vals. Consumers route through the Value semantics.
 	ColMixed
 )
 
@@ -272,8 +268,8 @@ func ColTableOf(t *Table) *ColTable {
 
 // Table materializes the columnar table back into rows (logical order),
 // slicing every row out of one backing slab. Values are rebuilt through
-// the canonical constructors, so a round trip through the batch runtime
-// is bit-identical to the row pipeline.
+// the canonical constructors, so Table → ColTable → Table is the
+// identity on every value.
 func (t *ColTable) Table() *Table {
 	w := t.Schema.Len()
 	n := t.Card()
@@ -379,7 +375,7 @@ func gatherCol(col *Vector, idx []int32) Vector {
 // gatherColPad is gatherCol with outerjoin padding: index -1 reads as the
 // pad value (an engine default vector entry — NULL, Int(0) or Int(1)).
 // When the pad's kind does not fit the column's, the output demotes to
-// ColMixed — exactly the mixed-kind column the row runtime would produce.
+// ColMixed — exactly the mixed-kind column the padded rows would form.
 func gatherColPad(col *Vector, idx []int32, pad Value) Vector {
 	padded := false
 	for _, p := range idx {

@@ -5,32 +5,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"eagg/internal/algebra"
 	"eagg/internal/core"
 	"eagg/internal/randquery"
 )
 
-// TestParseRuntime pins the flag-surface contract: empty and "row" are
-// the row runtime, "batch" is the batch runtime, anything else errors.
-func TestParseRuntime(t *testing.T) {
-	for s, want := range map[string]Runtime{"": RuntimeRow, "row": RuntimeRow, "batch": RuntimeBatch} {
-		got, err := ParseRuntime(s)
-		if err != nil || got != want {
-			t.Errorf("ParseRuntime(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseRuntime("vector"); err == nil {
-		t.Error("ParseRuntime must reject unknown names")
-	}
-	if RuntimeRow.String() != "row" || RuntimeBatch.String() != "batch" {
-		t.Error("Runtime.String mismatch")
-	}
-}
-
 // TestBatchParallelDeterminism is the batch runtime's version of the
 // central determinism contract: on random queries and data, executing an
-// optimized plan on the batch runtime — for every (workers, batch-size)
-// pair — must return a table bit-identical to the sequential row
-// reference path, order-sensitive float sums included.
+// optimized plan — for every (workers, batch-size) pair — must return a
+// table bit-identical to the sequential default-batch path,
+// order-sensitive float sums included, and that result must equal the
+// frozen nested-loop executor's (ExecRef) as a bag.
 func TestBatchParallelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(90217))
 	algs := []core.Options{
@@ -43,7 +28,8 @@ func TestBatchParallelDeterminism(t *testing.T) {
 	for n := 2; n <= 6; n++ {
 		for trial := 0; trial < 6; trial++ {
 			q := randquery.Generate(rng, randquery.Params{Relations: n})
-			data := RandomData(rng, q, 14).Tables()
+			rdata := RandomData(rng, q, 14)
+			data := rdata.Tables()
 			queries++
 			opts := algs[(queries-1)%len(algs)]
 			res, err := core.Optimize(q, opts)
@@ -54,9 +40,16 @@ func TestBatchParallelDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d trial=%d sequential: %v", n, trial, err)
 			}
+			ref, err := ExecRef(q, res.Plan, rdata)
+			if err != nil {
+				t.Fatalf("n=%d trial=%d reference: %v", n, trial, err)
+			}
+			if !algebra.EqualBags(ref, seq.Rel(), OutputAttrs(q)) {
+				t.Fatalf("n=%d trial=%d %v: Exec ≢ ExecRef\nref:\n%v\ngot:\n%v", n, trial, opts.Algorithm, ref, seq.Rel())
+			}
 			for _, bs := range batchSizes {
 				for _, workers := range []int{1, 8} {
-					eo := ExecOptions{Workers: workers, Runtime: RuntimeBatch, BatchSize: bs}
+					eo := ExecOptions{Workers: workers, BatchSize: bs}
 					if workers > 1 {
 						eo.MorselSize = 2
 					}
@@ -77,9 +70,8 @@ func TestBatchParallelDeterminism(t *testing.T) {
 }
 
 // TestExecStatsHashTelemetry pins that hash-table telemetry flows
-// through ExecProfiledOpts: the batch runtime builds flat tables (so
-// Builds > 0 with a sane load factor), while the sequential row runtime
-// stays on Go maps and reports zero builds.
+// through ExecProfiledOpts: execution builds flat tables, so Builds > 0
+// with a sane load factor.
 func TestExecStatsHashTelemetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(90218))
 	q := randquery.Generate(rng, randquery.Params{Relations: 4})
@@ -88,21 +80,14 @@ func TestExecStatsHashTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, batch, err := ExecProfiledOpts(q, res.Plan, data, ExecOptions{Workers: 1, Runtime: RuntimeBatch})
+	_, batch, err := ExecProfiledOpts(q, res.Plan, data, ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if batch.Hash.Builds == 0 || batch.Hash.Entries == 0 {
-		t.Fatalf("batch runtime reported no flat-table builds: %+v", batch.Hash)
+		t.Fatalf("execution reported no flat-table builds: %+v", batch.Hash)
 	}
 	if lf := batch.Hash.LoadFactor(); lf <= 0 || lf > 0.75 {
 		t.Fatalf("batch load factor %v outside (0, 0.75]", lf)
-	}
-	_, row, err := ExecProfiledOpts(q, res.Plan, data, ExecOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Hash.Builds != 0 {
-		t.Fatalf("sequential row runtime built flat tables: %+v", row.Hash)
 	}
 }

@@ -11,10 +11,11 @@ import (
 	"eagg/internal/tpch"
 )
 
-// TestBatchTPCHShapes runs every TPC-H query shape on the batch runtime —
-// eager and lazy plans from several enumerators, hash and sort-annotated
-// physical layers — and requires bit-identity with the row runtime plus
-// bag-equality with the canonical evaluation.
+// TestBatchTPCHShapes runs every TPC-H query shape — eager and lazy plans
+// from several enumerators, hash and sort-annotated physical layers — and
+// requires bit-identity across batch sizes plus bag-equality with the
+// canonical evaluation and with the frozen nested-loop reference
+// (CanonicalRef).
 func TestBatchTPCHShapes(t *testing.T) {
 	for name, q := range tpch.Queries() {
 		tables := tpch.GenerateTables(rand.New(rand.NewSource(5)), q, tpch.ExecutionScale(name))
@@ -22,6 +23,17 @@ func TestBatchTPCHShapes(t *testing.T) {
 		want, err := engine.CanonicalTables(q, tables)
 		if err != nil {
 			t.Fatal(err)
+		}
+		data := engine.Data{}
+		for id, tab := range tables {
+			data[id] = tab.Rel()
+		}
+		ref, err := engine.CanonicalRef(q, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !algebra.EqualBags(ref, want.Rel(), attrs) {
+			t.Fatalf("%s: canonical differs from CanonicalRef", name)
 		}
 		for _, opt := range []core.Options{
 			{Algorithm: core.AlgDPhyp},
@@ -34,19 +46,19 @@ func TestBatchTPCHShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			row, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 1})
+			got, err := engine.ExecTablesOpts(q, res.Plan, tables, engine.ExecOptions{Workers: 1})
 			if err != nil {
-				t.Fatalf("%s row exec: %v", label, err)
+				t.Fatalf("%s exec: %v", label, err)
 			}
-			for _, bs := range []int{0, 1, 7} {
+			for _, bs := range []int{1, 7} {
 				batch, err := engine.ExecTablesOpts(q, res.Plan, tables,
-					engine.ExecOptions{Workers: 1, Runtime: engine.RuntimeBatch, BatchSize: bs})
+					engine.ExecOptions{Workers: 1, BatchSize: bs})
 				if err != nil {
 					t.Fatalf("%s batch exec: %v", label, err)
 				}
-				identicalTables(t, fmt.Sprintf("%s batch=%d", label, bs), row, batch)
+				identicalTables(t, fmt.Sprintf("%s batch=%d", label, bs), got, batch)
 			}
-			if !algebra.EqualBags(want.Rel(), row.Rel(), attrs) {
+			if !algebra.EqualBags(want.Rel(), got.Rel(), attrs) {
 				t.Fatalf("%s: result differs from canonical", label)
 			}
 		}

@@ -10,8 +10,8 @@ import (
 
 // Canonical evaluates the query exactly as written: the initial operator
 // tree followed by the top grouping. It is the reference result against
-// which optimized plans are checked. Like Exec it runs on the slot-based
-// hash runtime; the frozen nested-loop evaluator (CanonicalRef) provides
+// which optimized plans are checked. Like Exec it runs on the columnar
+// hash operators; the frozen nested-loop evaluator (CanonicalRef) provides
 // an independent second opinion for the differential tests.
 func Canonical(q *query.Query, data Data) (*algebra.Rel, error) {
 	tab, err := CanonicalTables(q, data.Tables())
@@ -39,21 +39,21 @@ func CanonicalTablesOpts(q *query.Query, data TableData, opts ExecOptions) (*alg
 	if err != nil {
 		return nil, err
 	}
-	if !q.HasGrouping {
-		return tab, nil
+	if q.HasGrouping {
+		var g []string
+		q.GroupBy.ForEach(func(a int) { g = append(g, q.AttrNames[a]) })
+		tab = ex.BatchHashGroup(tab, g, q.Aggregates)
 	}
-	var g []string
-	q.GroupBy.ForEach(func(a int) { g = append(g, q.AttrNames[a]) })
-	return ex.HashGroup(tab, g, q.Aggregates), nil
+	return tab.Table(), nil
 }
 
-func evalTreeTables(q *query.Query, n *query.OpNode, data TableData, ex *algebra.Exec) (*algebra.Table, error) {
+func evalTreeTables(q *query.Query, n *query.OpNode, data TableData, ex *algebra.Exec) (*algebra.ColTable, error) {
 	if n.Kind == query.KindScan {
 		tab, ok := data[n.Rel]
 		if !ok {
 			return nil, fmt.Errorf("engine: no data for relation %d", n.Rel)
 		}
-		return tab, nil
+		return tab.Columnar(), nil
 	}
 	l, err := evalTreeTables(q, n.Left, data, ex)
 	if err != nil {
@@ -66,17 +66,17 @@ func evalTreeTables(q *query.Query, n *query.OpNode, data TableData, ex *algebra
 	lk, rk := joinKeys(q, []*query.Predicate{n.Pred}, l.Schema, r.Schema)
 	switch n.Kind {
 	case query.KindJoin:
-		return ex.HashJoin(l, r, lk, rk), nil
+		return ex.BatchHashJoin(l, r, lk, rk), nil
 	case query.KindSemiJoin:
-		return ex.HashSemiJoin(l, r, lk, rk), nil
+		return ex.BatchHashSemiJoin(l, r, lk, rk), nil
 	case query.KindAntiJoin:
-		return ex.HashAntiJoin(l, r, lk, rk), nil
+		return ex.BatchHashAntiJoin(l, r, lk, rk), nil
 	case query.KindLeftOuter:
-		return ex.HashLeftOuter(l, r, lk, rk, algebra.NullRow(r.Schema)), nil
+		return ex.BatchHashLeftOuter(l, r, lk, rk, algebra.NullRow(r.Schema)), nil
 	case query.KindFullOuter:
-		return ex.HashFullOuter(l, r, lk, rk, algebra.NullRow(l.Schema), algebra.NullRow(r.Schema)), nil
+		return ex.BatchHashFullOuter(l, r, lk, rk, algebra.NullRow(l.Schema), algebra.NullRow(r.Schema)), nil
 	case query.KindGroupJoin:
-		return ex.HashGroupJoin(l, r, lk, rk, n.GroupJoinAggs), nil
+		return ex.BatchHashGroupJoin(l, r, lk, rk, n.GroupJoinAggs), nil
 	}
 	return nil, fmt.Errorf("engine: unsupported node kind %v", n.Kind)
 }

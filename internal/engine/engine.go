@@ -2,15 +2,18 @@
 // using eager aggregation can be verified to produce exactly the same
 // results as the canonical (lazy) plan — and timed against it.
 //
-// The execution runtime is slot-based and columnar-friendly: every
-// operator resolves the attribute names it touches against its input
-// Schema once, at plan-compilation time, and then works on flat
-// []Value rows. Equi-joins (the only join form the optimizer emits) run
-// as build/probe hash joins over collision-proof typed keys, and every
-// grouping runs as typed hash aggregation (internal/algebra's slot
-// runtime). A frozen map-tuple/nested-loop implementation of the same
-// compilation is kept in reference.go (ExecRef, CanonicalRef) as the
-// differential-testing oracle and benchmark baseline.
+// The execution runtime is slot-based and columnar: every operator
+// resolves the attribute names it touches against its input Schema once,
+// at plan-compilation time, and then works batch at a time on typed
+// column vectors (internal/algebra's ColTable operators). Base tables are
+// converted to columnar form at the scan and the result back to rows at
+// the end; nothing in between materializes rows. Equi-joins (the only
+// join form the optimizer emits) run as build/probe hash joins over
+// collision-proof typed keys or as merge joins, and every grouping as
+// typed hash or sort-group aggregation. A frozen map-tuple/nested-loop
+// implementation of the same compilation is kept in reference.go
+// (ExecRef, CanonicalRef) as the differential-testing oracle and
+// benchmark baseline.
 //
 // The compilation realizes the mechanics behind the paper's equivalences
 // in composed form. Every pushed-down grouping Γ_{G⁺} computes
@@ -82,12 +85,11 @@ type ExecOptions struct {
 	// size-derived) work decomposition, so results are bit-identical
 	// with and without a pool.
 	Pool *algebra.Pool
-	// Runtime selects row-at-a-time (the default, the reference) or
-	// batch-at-a-time columnar execution. Results are bit-identical.
+	// Deprecated: batch is the only runtime; ignored.
 	Runtime Runtime
-	// BatchSize overrides the rows-per-batch granularity of the batch
-	// runtime (0 = algebra.DefaultBatchSize). Results are identical for
-	// every size.
+	// BatchSize overrides the rows-per-batch granularity of the columnar
+	// operators (0 = algebra.DefaultBatchSize). Results are identical
+	// for every size.
 	BatchSize int
 	// Trace, when set, records one span per plan node (operator wall
 	// time, rows in/out, estimates, hash/sort telemetry) into the given
@@ -116,14 +118,15 @@ func (o ExecOptions) exec() *algebra.Exec {
 	return e
 }
 
-// runtime resolves the options into the operator runtime the compiler
-// executes against.
-func (o ExecOptions) runtime(ex *algebra.Exec) runtimeOps {
-	if o.Runtime == RuntimeBatch {
-		return batchRuntime{ex: ex}
-	}
-	return rowRuntime{ex: ex}
-}
+// Runtime is the former execution-runtime selector.
+//
+// Deprecated: batch is the only runtime; ignored.
+type Runtime int
+
+// RuntimeBatch is the former batch-runtime selector.
+//
+// Deprecated: batch is the only runtime; ignored.
+const RuntimeBatch Runtime = 1
 
 // ExecStats profiles one execution: a per-operator cardinality profile
 // (each join and grouping operator's measured output under its canonical
@@ -146,8 +149,7 @@ type ExecStats struct {
 	// the binder, so keys are recorded at operator-completion time.
 	Ops []OpCard
 	// Hash aggregates the flat hash-table telemetry of the execution
-	// (batch-runtime builds and bloom-filtered probes; zero-valued under
-	// the row runtime's map-based sequential operators).
+	// (hash builds, group indexes and bloom-filtered probes).
 	Hash algebra.HashTableStats
 }
 
@@ -265,11 +267,9 @@ func (e *binder) attrNames(set bitset.VSet) []string {
 	return out
 }
 
-// compiled is an executed subplan plus its aggregate bookkeeping. The
-// table lives in whichever representation the selected runtime works on
-// (rows or columnar batches).
+// compiled is an executed subplan plus its aggregate bookkeeping.
 type compiled struct {
-	tab     rtTable
+	tab     *algebra.ColTable
 	weights []weight
 	aggs    []aggState // indexed like the query's aggregation vector
 }
@@ -296,13 +296,12 @@ func ExecTables(q *query.Query, p *plan.Plan, data TableData) (*algebra.Table, e
 // the given execution options. Results are bit-identical for every
 // worker count.
 func ExecTablesOpts(q *query.Query, p *plan.Plan, data TableData, opts ExecOptions) (*algebra.Table, error) {
-	rt := opts.runtime(opts.exec())
-	e := &executor{binder: binder{q: q}, data: data, rt: rt, tr: opts.Trace}
+	e := &executor{binder: binder{q: q}, data: data, ex: opts.exec(), tr: opts.Trace}
 	c, err := e.compile(p)
 	if err != nil {
 		return nil, err
 	}
-	return rt.result(c.tab), nil
+	return c.tab.Table(), nil
 }
 
 // ExecProfiled executes an optimized plan and reports execution
@@ -320,14 +319,13 @@ func ExecProfiled(q *query.Query, p *plan.Plan, data TableData) (*algebra.Table,
 func ExecProfiledOpts(q *query.Query, p *plan.Plan, data TableData, opts ExecOptions) (*algebra.Table, *ExecStats, error) {
 	hs := &algebra.HashStats{}
 	ex := opts.exec().WithHashStats(hs)
-	rt := opts.runtime(ex)
 	stats := &ExecStats{EstimatedCout: p.Cost, Workers: ex.Workers()}
-	e := &executor{binder: binder{q: q}, data: data, stats: stats, rt: rt, tr: opts.Trace, hs: hs}
+	e := &executor{binder: binder{q: q}, data: data, stats: stats, ex: ex, tr: opts.Trace, hs: hs}
 	c, err := e.compile(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := rt.result(c.tab)
+	res := c.tab.Table()
 	stats.ResultRows = res.Card()
 	stats.Hash = hs.Snapshot()
 	return res, stats, nil
@@ -337,7 +335,7 @@ type executor struct {
 	binder
 	data  TableData
 	stats *ExecStats
-	rt    runtimeOps
+	ex    *algebra.Exec
 	tr    *obs.Trace         // nil = no tracing
 	hs    *algebra.HashStats // live hash telemetry, for per-span deltas
 }
@@ -346,7 +344,7 @@ type executor struct {
 // the summed actual C_out and — keyed by the operator's canonical
 // (relation-set, grouping-attrs) identity — into the per-operator profile
 // the feedback loop harvests.
-func (e *executor) record(p *plan.Plan, t rtTable) {
+func (e *executor) record(p *plan.Plan, t *algebra.ColTable) {
 	if e.stats == nil {
 		return
 	}
@@ -401,7 +399,7 @@ func (e *executor) compileNode(p *plan.Plan) (*compiled, error) {
 		if !ok {
 			return nil, fmt.Errorf("engine: no data for relation %d", p.Rel)
 		}
-		return &compiled{tab: e.rt.scan(tab), aggs: make([]aggState, len(e.q.Aggregates))}, nil
+		return &compiled{tab: tab.Columnar(), aggs: make([]aggState, len(e.q.Aggregates))}, nil
 	case plan.NodeOp:
 		return e.compileOp(p)
 	case plan.NodeGroup:
@@ -482,7 +480,7 @@ func mergeKeySlots(q *query.Query, p *plan.Plan, ls, rs *algebra.Schema) (lk, rk
 // padRow builds the outerjoin default row for a padded side: NULL
 // everywhere except weights (1) and partial attributes ({⊥} defaults).
 func padRow(c *compiled) algebra.Row {
-	s := c.tab.TabSchema()
+	s := c.tab.Schema
 	pad := algebra.NullRow(s)
 	set := func(attr string, v algebra.Value) {
 		if slot, ok := s.Slot(attr); ok {
@@ -514,7 +512,7 @@ func (e *executor) compileOp(p *plan.Plan) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	lk, rk := joinKeys(e.q, p.Preds, l.tab.TabSchema(), r.tab.TabSchema())
+	lk, rk := joinKeys(e.q, p.Preds, l.tab.Schema, r.tab.Schema)
 
 	out := &compiled{aggs: make([]aggState, len(e.q.Aggregates))}
 	dropRight := p.Op.LeftOnly()
@@ -537,31 +535,37 @@ func (e *executor) compileOp(p *plan.Plan) (*compiled, error) {
 		// ordered. Output sequences equal the hash operators', so the
 		// choice of layer never shows in results — only in the sorts
 		// performed.
-		mlk, mrk := mergeKeySlots(e.q, p, l.tab.TabSchema(), r.tab.TabSchema())
-		var rpad algebra.Row
-		if p.Op == query.KindLeftOuter {
-			rpad = padRow(r)
+		mlk, mrk := mergeKeySlots(e.q, p, l.tab.Schema, r.tab.Schema)
+		switch p.Op {
+		case query.KindJoin:
+			out.tab, err = e.ex.MergeJoin(l.tab, r.tab, mlk, mrk, p.SortL, p.SortR)
+		case query.KindSemiJoin:
+			out.tab, err = e.ex.MergeSemiJoin(l.tab, r.tab, mlk, mrk, p.SortL, p.SortR)
+		case query.KindAntiJoin:
+			out.tab, err = e.ex.MergeAntiJoin(l.tab, r.tab, mlk, mrk, p.SortL, p.SortR)
+		case query.KindLeftOuter:
+			out.tab, err = e.ex.MergeLeftOuter(l.tab, r.tab, mlk, mrk, p.SortL, p.SortR, padRow(r))
+		default:
+			err = fmt.Errorf("engine: %v has no sort-based form", p.Op)
 		}
-		tab, err := e.rt.mergeJoin(p.Op, l.tab, r.tab, mlk, mrk, p.SortL, p.SortR, rpad)
 		if err != nil {
 			return nil, err
 		}
-		out.tab = tab
 		e.record(p, out.tab)
 		return out, nil
 	}
 
 	switch p.Op {
 	case query.KindJoin:
-		out.tab = e.rt.hashJoin(l.tab, r.tab, lk, rk)
+		out.tab = e.ex.BatchHashJoin(l.tab, r.tab, lk, rk)
 	case query.KindSemiJoin:
-		out.tab = e.rt.hashSemiJoin(l.tab, r.tab, lk, rk)
+		out.tab = e.ex.BatchHashSemiJoin(l.tab, r.tab, lk, rk)
 	case query.KindAntiJoin:
-		out.tab = e.rt.hashAntiJoin(l.tab, r.tab, lk, rk)
+		out.tab = e.ex.BatchHashAntiJoin(l.tab, r.tab, lk, rk)
 	case query.KindLeftOuter:
-		out.tab = e.rt.hashLeftOuter(l.tab, r.tab, lk, rk, padRow(r))
+		out.tab = e.ex.BatchHashLeftOuter(l.tab, r.tab, lk, rk, padRow(r))
 	case query.KindFullOuter:
-		out.tab = e.rt.hashFullOuter(l.tab, r.tab, lk, rk, padRow(l), padRow(r))
+		out.tab = e.ex.BatchHashFullOuter(l.tab, r.tab, lk, rk, padRow(l), padRow(r))
 	case query.KindGroupJoin:
 		if len(r.weights) != 0 {
 			return nil, fmt.Errorf("engine: groupjoin over a pre-aggregated right side is not supported")
@@ -571,7 +575,7 @@ func (e *executor) compileOp(p *plan.Plan) (*compiled, error) {
 		if gj == nil {
 			return nil, fmt.Errorf("engine: groupjoin node not found in the query tree")
 		}
-		out.tab = e.rt.hashGroupJoin(l.tab, r.tab, lk, rk, gj.GroupJoinAggs)
+		out.tab = e.ex.BatchHashGroupJoin(l.tab, r.tab, lk, rk, gj.GroupJoinAggs)
 	default:
 		return nil, fmt.Errorf("engine: unsupported operator %v", p.Op)
 	}

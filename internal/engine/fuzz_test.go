@@ -13,12 +13,12 @@ import (
 
 // FuzzExecEquivalence fuzzes the end-to-end correctness property of the
 // execution stack: for a random query (derived deterministically from the
-// fuzz inputs) and random data, the optimized plan executed on the slot
-// runtime must equal the canonical result, both slot-runtime evaluators
-// must equal their frozen nested-loop references, and morsel-driven
-// parallel execution (Workers>1, fuzz-chosen morsel size) must be
-// bit-identical to the sequential reference path — float sums and
-// output order included. The cardinality feedback loop (Reoptimize) may
+// fuzz inputs) and random data, the optimized plan executed on the
+// columnar runtime must equal the canonical result, both columnar
+// evaluators must equal their frozen nested-loop references, and
+// morsel-driven parallel execution (Workers>1, fuzz-chosen morsel size)
+// and any batch size must be bit-identical to the sequential
+// default-batch path — float sums and output order included. The cardinality feedback loop (Reoptimize) may
 // change the chosen plan but must still reproduce the canonical result.
 // Run the smoke locally with
 //
@@ -123,17 +123,21 @@ func FuzzExecEquivalence(f *testing.F) {
 		}
 		identicalTables(t, fmt.Sprintf("seed=%d n=%d %v workers=%d", seed, n, opts.Algorithm, workers), seqTab, parTab)
 
-		// Batch-runtime arm: columnar batch execution must be
-		// bit-identical to the row runtime — sequentially and under
-		// morsel parallelism, for a fuzz-chosen batch size.
+		// Batch-size arm: execution at a fuzz-chosen batch size must equal
+		// the frozen reference executor, and be bit-identical to the
+		// default batch size — sequentially and under morsel parallelism.
 		bs := 1 + int(maxRows)%9
-		batchTab, err := ExecTablesOpts(q, res.Plan, tables, ExecOptions{Workers: 1, Runtime: RuntimeBatch, BatchSize: bs})
+		batchTab, err := ExecTablesOpts(q, res.Plan, tables, ExecOptions{Workers: 1, BatchSize: bs})
 		if err != nil {
 			t.Fatalf("batch exec: %v", err)
 		}
+		if !algebra.EqualBags(gotRef, batchTab.Rel(), attrs) {
+			t.Fatalf("seed=%d n=%d %v batch=%d: Execute ≢ ExecRef\nplan:\n%v\nref:\n%v\ngot:\n%v",
+				seed, n, opts.Algorithm, bs, res.Plan.StringWithQuery(q), gotRef, batchTab.Rel())
+		}
 		identicalTables(t, fmt.Sprintf("seed=%d n=%d %v batch=%d", seed, n, opts.Algorithm, bs), seqTab, batchTab)
 		batchPar, err := ExecTablesOpts(q, res.Plan, tables,
-			ExecOptions{Workers: workers, MorselSize: popts.MorselSize, Runtime: RuntimeBatch, BatchSize: bs})
+			ExecOptions{Workers: workers, MorselSize: popts.MorselSize, BatchSize: bs})
 		if err != nil {
 			t.Fatalf("parallel batch exec: %v", err)
 		}
@@ -170,10 +174,10 @@ func FuzzExecEquivalence(f *testing.F) {
 			t.Fatalf("phys parallel exec: %v", err)
 		}
 		identicalTables(t, fmt.Sprintf("seed=%d n=%d phys=%v workers=%d", seed, n, physMode, workers), physTab, physPar)
-		// Sort-annotated plans on the batch runtime bridge the merge
-		// operators through the row representation — still bit-identical.
+		// The sort operators at the fuzz-chosen batch size (their hash
+		// neighbors batch by it) stay bit-identical too.
 		physBatch, err := ExecTablesOpts(q, pres.Plan, tables,
-			ExecOptions{Workers: 1, Runtime: RuntimeBatch, BatchSize: bs})
+			ExecOptions{Workers: 1, BatchSize: bs})
 		if err != nil {
 			t.Fatalf("phys batch exec: %v", err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"eagg/internal/aggfn"
+	"eagg/internal/algebra"
 	"eagg/internal/bitset"
 	"eagg/internal/plan"
 )
@@ -12,9 +13,8 @@ import (
 // fresh column and returns its name ("" when there are none, the
 // attribute itself when there is exactly one). The column is computed
 // slot-wise: the weight attributes are resolved against the table schema
-// once, and the runtime multiplies plain slot reads (per row, or as a
-// typed columnar kernel on the batch runtime).
-func (e *executor) product(tab rtTable, attrs []string) (string, rtTable) {
+// once, and a typed columnar kernel multiplies the slot columns.
+func (e *executor) product(tab *algebra.ColTable, attrs []string) (string, *algebra.ColTable) {
 	switch len(attrs) {
 	case 0:
 		return "", tab
@@ -22,8 +22,7 @@ func (e *executor) product(tab rtTable, attrs []string) (string, rtTable) {
 		return attrs[0], tab
 	}
 	name := e.fresh("prod")
-	slots := tab.TabSchema().Slots(attrs)
-	return name, e.rt.product(tab, name, slots)
+	return name, e.ex.BatchExtendProduct(tab, name, tab.Schema.Slots(attrs))
 }
 
 func weightAttrs(ws []weight, excludeCover bitset.VSet) []string {
@@ -104,19 +103,19 @@ func (e *executor) group(child *compiled, p *plan.Plan) (*compiled, error) {
 // eliminated sort, verified against the covering order prefix the
 // optimizer recorded in p.MergeL) or sorts by the grouping key first.
 // Both layers emit the identical output sequence.
-func (e *executor) groupTable(tab rtTable, gNames []string, f aggfn.Vector, p *plan.Plan) (rtTable, error) {
+func (e *executor) groupTable(tab *algebra.ColTable, gNames []string, f aggfn.Vector, p *plan.Plan) (*algebra.ColTable, error) {
 	if p != nil && p.Phys == plan.PhysSortMerge {
 		var verify []int
 		if !p.SortL {
 			for _, a := range p.MergeL {
-				if slot, ok := tab.TabSchema().Slot(e.q.AttrNames[a]); ok {
+				if slot, ok := tab.Schema.Slot(e.q.AttrNames[a]); ok {
 					verify = append(verify, slot)
 				}
 			}
 		}
-		return e.rt.sortGroup(tab, gNames, f, p.SortL, verify)
+		return e.ex.SortGroup(tab, gNames, f, p.SortL, verify)
 	}
-	return e.rt.hashGroup(tab, gNames, f), nil
+	return e.ex.BatchHashGroup(tab, gNames, f), nil
 }
 
 // collapse turns a raw aggregate into a partial state, appending the

@@ -10,10 +10,10 @@ import (
 )
 
 // TestSlotRuntimeMatchesReference is the differential gate between the
-// two executors: on random queries and data, the slot-based hash runtime
+// two executors: on random queries and data, the columnar slot runtime
 // (Exec, Canonical) and the frozen map/nested-loop runtime (ExecRef,
 // CanonicalRef) must produce identical result bags. Because the reference
-// shares no operator code with the hash runtime, a systematic bug in the
+// shares no operator code with the slot runtime, a systematic bug in the
 // typed keys or accumulators cannot cancel out of this comparison.
 func TestSlotRuntimeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))

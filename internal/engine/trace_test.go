@@ -17,7 +17,7 @@ import (
 // TestTraceDeterminismConcurrent extends the workers-1≡8 contract to
 // the trace: the deterministic span fields — structure, names, rows
 // in/out, captured by obs.Trace.Fingerprint — must be identical for
-// every worker count, morsel size and runtime, because spans are
+// every worker count, morsel size and batch size, because spans are
 // recorded at operator barriers by the driver goroutine only. Timing
 // and annotations (morsel counts, hash-table deltas) legitimately
 // differ and are masked by the fingerprint.
@@ -26,10 +26,10 @@ func TestTraceDeterminismConcurrent(t *testing.T) {
 		label string
 		opts  engine.ExecOptions
 	}{
-		{"workers=1/row", engine.ExecOptions{Workers: 1}},
-		{"workers=8/row", engine.ExecOptions{Workers: 8, MorselSize: 2}},
-		{"workers=1/batch", engine.ExecOptions{Workers: 1, Runtime: engine.RuntimeBatch}},
-		{"workers=8/batch", engine.ExecOptions{Workers: 8, MorselSize: 2, Runtime: engine.RuntimeBatch}},
+		{"workers=1", engine.ExecOptions{Workers: 1}},
+		{"workers=8", engine.ExecOptions{Workers: 8, MorselSize: 2}},
+		{"workers=1/batch=1", engine.ExecOptions{Workers: 1, BatchSize: 1}},
+		{"workers=8/batch=7", engine.ExecOptions{Workers: 8, MorselSize: 2, BatchSize: 7}},
 	}
 
 	// TPC-H shapes at execution scale plus random fuzz-sized queries.

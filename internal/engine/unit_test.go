@@ -13,31 +13,29 @@ func TestProductHelper(t *testing.T) {
 		[]any{2, 3, 5},
 		[]any{1, nil, 4},
 	))
-	for _, rt := range []runtimeOps{rowRuntime{}, batchRuntime{}} {
-		e := &executor{rt: rt}
-		in := rt.scan(tab)
-		// No attributes: no column, empty name.
-		name, out := e.product(in, nil)
-		if name != "" || out != in {
-			t.Error("empty product must be a no-op")
-		}
-		// Single attribute: passthrough.
-		name, out = e.product(in, []string{"w1"})
-		if name != "w1" || out != in {
-			t.Error("single product must pass through")
-		}
-		// Multiple: materialized column with NULL propagation.
-		name, out = e.product(in, []string{"w1", "w2", "w3"})
-		if name == "" || !out.TabSchema().Has(name) {
-			t.Fatal("product column missing")
-		}
-		rel := rt.result(out).Rel()
-		if v := rel.Tuples[0].Get(name); v.I != 30 {
-			t.Errorf("product = %v, want 30", v)
-		}
-		if !rel.Tuples[1].Get(name).IsNull() {
-			t.Error("NULL weight must poison the product")
-		}
+	e := &executor{ex: algebra.NewExec(1)}
+	in := tab.Columnar()
+	// No attributes: no column, empty name.
+	name, out := e.product(in, nil)
+	if name != "" || out != in {
+		t.Error("empty product must be a no-op")
+	}
+	// Single attribute: passthrough.
+	name, out = e.product(in, []string{"w1"})
+	if name != "w1" || out != in {
+		t.Error("single product must pass through")
+	}
+	// Multiple: materialized column with NULL propagation.
+	name, out = e.product(in, []string{"w1", "w2", "w3"})
+	if name == "" || !out.Schema.Has(name) {
+		t.Fatal("product column missing")
+	}
+	rel := out.Table().Rel()
+	if v := rel.Tuples[0].Get(name); v.I != 30 {
+		t.Errorf("product = %v, want 30", v)
+	}
+	if !rel.Tuples[1].Get(name).IsNull() {
+		t.Error("NULL weight must poison the product")
 	}
 }
 
@@ -86,7 +84,7 @@ func TestSideDefaults(t *testing.T) {
 	// The slot executor's padRow realizes the same defaults as a full
 	// row: weights 1, zero-default partials 0, NULL-default partials NULL.
 	sc := &compiled{
-		tab:     algebra.NewTable(algebra.NewSchema([]string{"w", "p_sum", "p_cnt", "x"})),
+		tab:     algebra.NewTable(algebra.NewSchema([]string{"w", "p_sum", "p_cnt", "x"})).Columnar(),
 		weights: []weight{{attr: "w", cover: bitset.NewV(0)}},
 		aggs: []aggState{
 			{},
@@ -98,7 +96,7 @@ func TestSideDefaults(t *testing.T) {
 		},
 	}
 	pad := padRow(sc)
-	s := sc.tab.TabSchema()
+	s := sc.tab.Schema
 	if pad[s.MustSlot("w")] != algebra.Int(1) {
 		t.Errorf("pad weight = %v, want 1", pad[s.MustSlot("w")])
 	}

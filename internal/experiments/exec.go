@@ -49,7 +49,7 @@ type ExecRow struct {
 	SortsPerformed, SortsEliminated int
 	// Hash is the flat hash-table telemetry of the execution: builds,
 	// mean load factor, worst probe distance and bloom-filter traffic.
-	// Zero Builds under the row runtime's map-based sequential path.
+	// Zero Builds for plans without a hash operator.
 	Hash algebra.HashTableStats
 	// Match reports result equality against the canonical evaluation.
 	Match bool
@@ -59,9 +59,8 @@ type ExecRow struct {
 // canonical evaluation time plus one row per optimized plan.
 type ExecReport struct {
 	Factor      float64
-	Workers     int            // execution workers (1 = sequential reference)
-	Phys        core.PhysMode  // physical algebra the plans were built for
-	Runtime     engine.Runtime // execution runtime (row or batch)
+	Workers     int           // execution workers (1 = sequential reference)
+	Phys        core.PhysMode // physical algebra the plans were built for
 	CanonMillis map[string]float64
 	Rows        []ExecRow
 }
@@ -119,8 +118,8 @@ func execSetup(cfg Config, factor float64, name string) (q *query.Query, data en
 // for every worker count.
 func ExecEval(cfg Config, factor float64, names []string) *ExecReport {
 	cfg = cfg.Defaults()
-	execOpts := engine.ExecOptions{Workers: cfg.Workers, Runtime: cfg.Runtime, Trace: cfg.Trace}
-	rep := &ExecReport{Factor: factor, Workers: cfg.Workers, Phys: cfg.Phys, Runtime: cfg.Runtime, CanonMillis: map[string]float64{}}
+	execOpts := engine.ExecOptions{Workers: cfg.Workers, Trace: cfg.Trace}
+	rep := &ExecReport{Factor: factor, Workers: cfg.Workers, Phys: cfg.Phys, CanonMillis: map[string]float64{}}
 	for _, name := range execQueryNames(names) {
 		q, data, wantRel, attrs, canonMillis := execSetup(cfg, factor, name)
 		rep.CanonMillis[name] = canonMillis
@@ -196,7 +195,7 @@ func (r *ExecReport) AllMatch() bool {
 // flat table (or no bloom filter) was built.
 func (r *ExecReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Execution: optimized vs canonical plans on synthetic TPC-H data (scale factor %g, workers %d, phys %v, runtime %v)\n", r.Factor, r.Workers, r.Phys, r.Runtime)
+	fmt.Fprintf(&b, "Execution: optimized vs canonical plans on synthetic TPC-H data (scale factor %g, workers %d, phys %v)\n", r.Factor, r.Workers, r.Phys)
 	fmt.Fprintf(&b, "%-6s %-15s %4s %7s %10s %10s %12s %12s %12s %7s %6s %5s %8s %9s %6s  %s\n",
 		"query", "plan", "Γ", "sorts", "ms", "rows", "C_out act", "C_out est", "rows/s", "ht-load", "probe≤", "bloom", "q-err", "worst-op", "match", "worst operator")
 	var names []string

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"eagg/internal/core"
-	"eagg/internal/engine"
 	"eagg/internal/obs"
 	"eagg/internal/query"
 	"eagg/internal/randquery"
@@ -45,11 +44,6 @@ type Config struct {
 	// modes (hash, sort-based, or both competing per plan class). The
 	// zero value keeps the hash layer, the paper's conditions.
 	Phys core.PhysMode
-	// Runtime selects the execution runtime for the -exec, -feedback and
-	// -serve modes: row-at-a-time (the zero value, the reference) or
-	// batch-at-a-time columnar vectors. Results are bit-identical; only
-	// the runtime figures change.
-	Runtime engine.Runtime
 	// Trace, when non-nil, collects spans from the -exec and -feedback
 	// evaluations: one "query" span per (query, plan-generator) cell with
 	// the optimizer phases and executor operators nested under it — the

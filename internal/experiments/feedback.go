@@ -68,7 +68,7 @@ func FeedbackEval(cfg Config, factor float64, names []string) *FeedbackReport {
 			start := time.Now()
 			res, err := engine.Reoptimize(q, data, engine.FeedbackOptions{
 				Opt:  core.Options{Algorithm: alg.alg, Workers: cfg.Workers, Phys: cfg.Phys},
-				Exec: engine.ExecOptions{Workers: cfg.Workers, Runtime: cfg.Runtime, Trace: cfg.Trace},
+				Exec: engine.ExecOptions{Workers: cfg.Workers, Trace: cfg.Trace},
 			})
 			if err != nil {
 				panic(fmt.Sprintf("experiments: feedback %s/%s: %v", name, alg.label, err))

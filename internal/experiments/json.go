@@ -16,7 +16,6 @@ func (r *ExecReport) WriteJSON(w io.Writer) error {
 		Factor      float64            `json:"factor"`
 		Workers     int                `json:"workers"`
 		Phys        string             `json:"phys"`
-		Runtime     string             `json:"runtime"`
 		AllMatch    bool               `json:"all_match"`
 		CanonMillis map[string]float64 `json:"canon_millis"`
 		Rows        []ExecRow          `json:"rows"`
@@ -25,7 +24,6 @@ func (r *ExecReport) WriteJSON(w io.Writer) error {
 		Factor:      r.Factor,
 		Workers:     r.Workers,
 		Phys:        r.Phys.String(),
-		Runtime:     r.Runtime.String(),
 		AllMatch:    r.AllMatch(),
 		CanonMillis: r.CanonMillis,
 		Rows:        r.Rows,

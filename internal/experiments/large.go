@@ -116,7 +116,7 @@ func LargeEval(cfg Config, shapes []string, pairBudget int) *LargeReport {
 			optMillis := float64(time.Since(start).Microseconds()) / 1000
 
 			start = time.Now()
-			tab, stats, err := engine.ExecProfiledOpts(q, res.Plan, data, engine.ExecOptions{Workers: cfg.Workers, Runtime: cfg.Runtime})
+			tab, stats, err := engine.ExecProfiledOpts(q, res.Plan, data, engine.ExecOptions{Workers: cfg.Workers})
 			if err != nil {
 				panic(fmt.Sprintf("experiments: exec %s/%s: %v", name, a.label, err))
 			}

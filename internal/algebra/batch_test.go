@@ -473,24 +473,6 @@ func distinctBuildKeys(build *Table, rk []int) int {
 	return n
 }
 
-// builtKeys counts the distinct keys a build holds, whichever table
-// backs it.
-func builtKeys(b *batchBuild) int {
-	switch {
-	case b.it != nil:
-		return b.it.n
-	case b.bt != nil:
-		return b.bt.n
-	}
-	n := 0
-	for _, p := range b.pt.parts {
-		if p != nil {
-			n += p.n
-		}
-	}
-	return n
-}
-
 // checkPostings probes the build with every row of probe on the pk slots
 // and compares each resolved posting list with the nested-loop model.
 func checkPostings(t *testing.T, label string, e *Exec, b *batchBuild, build, probe *Table, rk, pk []int) {
@@ -565,7 +547,7 @@ func TestBuildSidePostings(t *testing.T) {
 		for c := range probe.Schema.Names() {
 			checkPostings(t, fmt.Sprintf("%s/probe-%s", tc.name, probe.Schema.Name(c)), tc.e, b, tc.build, probe, rk, []int{c})
 		}
-		if got, want := builtKeys(b), distinctBuildKeys(tc.build, rk); got != want {
+		if got, want := b.distinct(), distinctBuildKeys(tc.build, rk); got != want {
 			t.Fatalf("%s: build holds %d keys, want %d", tc.name, got, want)
 		}
 	}

@@ -10,25 +10,31 @@ import (
 
 // Batch-at-a-time hash joins over columnar tables. Each operator takes
 // paired key slot lists (lk[i] on the left schema matches rk[i] on the
-// right schema), builds a hash table over the right input and probes with
-// the left input. Join equality is strict: rows with a NULL or NaN key
-// component match nothing, exactly like the nested-loop reference
-// operators with EqStrict predicates; with empty key lists the operators
-// degenerate to their cross-product forms. Output row order equals the
-// nested-loop order (probe rows in input order, matches in build-input
-// order), so results are identical as sequences, not just as bags.
+// right schema), hashes the input with fewer logical rows (ties: the
+// right one) and probes it with the other. Join equality is strict: rows
+// with a NULL or NaN key component match nothing, exactly like the
+// nested-loop reference operators with EqStrict predicates; with empty
+// key lists the operators degenerate to their cross-product forms.
+// Output row order equals the nested-loop order (left rows in input
+// order, each left row's matches in right-input order, the unmatched
+// right rows of a full outerjoin last), so results are identical as
+// sequences, not just as bags, whichever side was built.
 //
 // Keys are encoded column-major a batch at a time (batchkey.go), probes
-// accumulate (left, right) physical index pairs instead of copying rows,
-// and the output columns are assembled by one typed gather per column.
+// accumulate (left, right) index pairs instead of copying rows, and the
+// output columns are assembled by one typed gather per column.
 // Semijoin and antijoin never copy anything: their output is a selection
 // vector over the shared input columns.
 //
-// All indices flowing through here are physical row numbers. Because
-// selection vectors are monotone (vector.go), physical order equals
-// logical order, so posting lists accumulated in logical scan order, the
-// morsel-ordered chunk concatenation, and the full-outer right tail all
-// keep the nested-loop output sequence.
+// Posting lists hold logical row numbers of the build input; probe rows
+// are physical row numbers of the probe input. Because selection vectors
+// are monotone (vector.go), physical order equals logical order, so
+// posting lists accumulated in logical scan order and the morsel-ordered
+// chunk concatenation both keep input order. A right-side build already
+// emits pairs in nested-loop order. A left-side build emits them in
+// right-input order; restoreLeftOrder puts them back with one stable
+// counting pass keyed by the logical left row, sized by the left input's
+// cardinality.
 
 // batchScratch bundles the per-batch scratch buffers (physical row list,
 // key encodings, resolved posting lists) one batch driver needs. Pooled:
@@ -88,103 +94,117 @@ func (b *batchBuild) lookHashed(h uint64, key []byte) []int32 {
 	return b.pt.lookupHashed(h, key)
 }
 
-// buildHash hashes the build input's join keys into posting lists
-// of physical row indices in build-input order: one flat table
-// (sequential) or a partitioned one (parallel) holding the same keys and
-// the same postings. probeCard is the probe input's
-// cardinality, used only to gate the optional Bloom filter; pass -1 to
-// disable it (operators that emit every probe row regardless).
-func (e *Exec) buildHash(r *ColTable, rk []int, par bool, probeCard int) *batchBuild {
-	bs := e.batchSize()
-	hs := e.hashStats()
-	n := r.Card()
-	if !par && len(rk) == 1 && rk[0] >= 0 && r.Cols[rk[0]].Kind == ColInt {
-		col := &r.Cols[rk[0]]
-		t := newIntTable(n)
-		for li := 0; li < n; li++ {
-			i := r.phys(li)
-			if col.IsNull(int(i)) {
-				continue // NULL keys match nothing
-			}
-			t.insert(col.Ints[i], i)
-		}
-		t.finalize()
-		t.record(hs)
-		b := &batchBuild{it: t}
-		if f := buildBloom(t.n, probeCard); f != nil {
-			t.fillBloom(f)
-			b.bloom = f
-		}
-		return b
+// distinct counts the distinct keys the build holds.
+func (b *batchBuild) distinct() int {
+	switch {
+	case b.it != nil:
+		return b.it.n
+	case b.bt != nil:
+		return b.bt.n
 	}
-	if !par {
-		t := newBytesTable(n)
-		batchKeys(r, 0, n, bs, rk, true, func(rows []int32, kb *keyBatch) {
-			for k, i := range rows {
-				if kb.dead[k] {
-					continue
-				}
-				t.insert(hashKey(kb.keys[k]), kb.keys[k], i)
-			}
-		})
-		t.finalize()
-		t.record(hs)
-		b := &batchBuild{bt: t}
-		if f := buildBloom(t.n, probeCard); f != nil {
-			t.fillBloom(f)
-			b.bloom = f
-		}
-		return b
-	}
-	scatters := make([]*morselScatter, e.morselCount(n))
-	e.forMorsels(n, func(m, lo, hi int) {
-		s := &morselScatter{}
-		batchKeys(r, lo, hi, bs, rk, true, func(rows []int32, kb *keyBatch) {
-			for k, i := range rows {
-				if !kb.dead[k] {
-					s.add(i, kb.keys[k])
-				}
-			}
-		})
-		scatters[m] = s
-	})
-	pt := e.buildParts(scatters)
-	b := &batchBuild{pt: pt}
-	keys := 0
-	for _, t := range pt.parts {
+	n := 0
+	for _, t := range b.pt.parts {
 		if t != nil {
-			keys += t.n
+			n += t.n
 		}
 	}
-	if f := buildBloom(keys, probeCard); f != nil {
-		// The per-partition tables cache every distinct key's hash, so
-		// the filter fills from them in one sequential pass — no racing
-		// bit-sets inside the partition fan-out.
-		for _, t := range pt.parts {
+	return n
+}
+
+// fillBloom attaches f after adding every distinct build key's hash. The
+// flat tables cache those hashes, so the filter fills in one sequential
+// pass — no racing bit-sets inside the partition fan-out.
+func (b *batchBuild) fillBloom(f *bloomFilter) {
+	switch {
+	case b.it != nil:
+		b.it.fillBloom(f)
+	case b.bt != nil:
+		b.bt.fillBloom(f)
+	default:
+		for _, t := range b.pt.parts {
 			if t != nil {
 				t.fillBloom(f)
 			}
 		}
-		b.bloom = f
+	}
+	b.bloom = f
+}
+
+// buildHash hashes the build input's join keys into posting lists of
+// logical row indices in build-input order: one flat table (sequential)
+// or a partitioned one (parallel) holding the same keys and the same
+// postings. probeCard is the probing input's cardinality, used only to
+// gate the optional Bloom filter; pass -1 to disable it (operators that
+// emit every probe row regardless).
+func (e *Exec) buildHash(t *ColTable, keys []int, par bool, probeCard int) *batchBuild {
+	bs := e.batchSize()
+	hs := e.hashStats()
+	n := t.Card()
+	b := &batchBuild{}
+	switch {
+	case !par && len(keys) == 1 && keys[0] >= 0 && t.Cols[keys[0]].Kind == ColInt:
+		col := &t.Cols[keys[0]]
+		b.it = newIntTable(n)
+		for li := 0; li < n; li++ {
+			i := t.phys(li)
+			if col.IsNull(int(i)) {
+				continue // NULL keys match nothing
+			}
+			b.it.insert(col.Ints[i], int32(li))
+		}
+		b.it.finalize()
+		b.it.record(hs)
+	case !par:
+		b.bt = newBytesTable(n)
+		li := int32(0)
+		batchKeys(t, 0, n, bs, keys, true, func(rows []int32, kb *keyBatch) {
+			for k := range rows {
+				if !kb.dead[k] {
+					b.bt.insert(hashKey(kb.keys[k]), kb.keys[k], li+int32(k))
+				}
+			}
+			li += int32(len(rows))
+		})
+		b.bt.finalize()
+		b.bt.record(hs)
+	default:
+		scatters := make([]*morselScatter, e.morselCount(n))
+		e.forMorsels(n, func(m, lo, hi int) {
+			s := &morselScatter{}
+			li := int32(lo)
+			batchKeys(t, lo, hi, bs, keys, true, func(rows []int32, kb *keyBatch) {
+				for k := range rows {
+					if !kb.dead[k] {
+						s.add(li+int32(k), kb.keys[k])
+					}
+				}
+				li += int32(len(rows))
+			})
+			scatters[m] = s
+		})
+		b.pt = e.buildParts(scatters)
+	}
+	if f := buildBloom(b.distinct(), probeCard); f != nil {
+		b.fillBloom(f)
 	}
 	return b
 }
 
-// probePostings iterates probe rows [lo, hi) of l in batches, resolving
+// probePostings iterates probe rows [lo, hi) of p in batches, resolving
 // every row's build-side posting list — nil both for dead rows (NULL/NaN
 // key components match nothing) and for keys without a partner, which
 // every probe operator treats identically. On the int fast path the
 // resolution is one column-kind dispatch per batch over the raw payloads;
 // otherwise keys are encoded and looked up. posts is scratch; fn must not
 // retain it.
-func (e *Exec) probePostings(l *ColTable, lk []int, b *batchBuild, lo, hi int, fn func(rows []int32, posts [][]int32)) {
+func (e *Exec) probePostings(p *ColTable, pk []int, b *batchBuild, lo, hi int, fn func(rows []int32, posts [][]int32)) {
 	bs := e.batchSize()
 	bloomChecks, bloomPasses := 0, 0
 	defer func() { e.hashStats().recordBloom(bloomChecks, bloomPasses) }()
 	if b.it == nil {
 		sc := batchScratchPool.Get().(*batchScratch)
 		posts := sc.posts
-		batchKeys(l, lo, hi, bs, lk, true, func(rows []int32, kb *keyBatch) {
+		batchKeys(p, lo, hi, bs, pk, true, func(rows []int32, kb *keyBatch) {
 			if cap(posts) < len(rows) {
 				posts = make([][]int32, len(rows))
 			}
@@ -225,14 +245,14 @@ func (e *Exec) probePostings(l *ColTable, lk []int, b *batchBuild, lo, hi int, f
 		return b.it.lookupHashed(h, v)
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
-	slot := lk[0]
+	slot := pk[0]
 	var col *Vector
 	if slot >= 0 {
-		col = &l.Cols[slot]
+		col = &p.Cols[slot]
 	}
 	for bb := lo; bb < hi; bb += bs {
 		end := min(bb+bs, hi)
-		sc.rows = l.physBatch(bb, end, sc.rows)
+		sc.rows = p.physBatch(bb, end, sc.rows)
 		rows := sc.rows
 		if cap(sc.posts) < len(rows) {
 			sc.posts = make([][]int32, len(rows))
@@ -295,14 +315,24 @@ type idxPairs struct {
 	li, ri []int32
 }
 
-// concatPairs concatenates per-morsel pair chunks in morsel order.
+func (c *idxPairs) add(li, ri int32) {
+	c.li = append(c.li, li)
+	c.ri = append(c.ri, ri)
+}
+
+// concatPairs concatenates per-morsel pair chunks in morsel order; a
+// single chunk is returned as is.
 func concatPairs(chunks []idxPairs) (li, ri []int32) {
-	total := 0
-	for _, c := range chunks {
-		total += len(c.li)
+	if len(chunks) == 1 {
+		return chunks[0].li, chunks[0].ri
 	}
-	li = make([]int32, 0, total)
-	ri = make([]int32, 0, total)
+	nl, nr := 0, 0
+	for _, c := range chunks {
+		nl += len(c.li)
+		nr += len(c.ri)
+	}
+	li = make([]int32, 0, nl)
+	ri = make([]int32, 0, nr)
 	for _, c := range chunks {
 		li = append(li, c.li...)
 		ri = append(ri, c.ri...)
@@ -310,10 +340,94 @@ func concatPairs(chunks []idxPairs) (li, ri []int32) {
 	return li, ri
 }
 
+// probeMorsels is the probe driver of every hash join: it probes the
+// rows of p (keys pk) against bld — over morsels on the task scheduler
+// when par, as one morsel otherwise — and hands each batch's physical
+// probe rows and posting lists to emit together with the morsel's own
+// output chunk. The chunks come back in morsel order.
+func (e *Exec) probeMorsels(p *ColTable, pk []int, bld *batchBuild, par bool, emit func(c *idxPairs, rows []int32, posts [][]int32)) []idxPairs {
+	n := p.Card()
+	if !par {
+		chunks := make([]idxPairs, 1)
+		e.probePostings(p, pk, bld, 0, n, func(rows []int32, posts [][]int32) { emit(&chunks[0], rows, posts) })
+		return chunks
+	}
+	chunks := make([]idxPairs, e.morselCount(n))
+	e.forMorsels(n, func(m, lo, hi int) {
+		e.probePostings(p, pk, bld, lo, hi, func(rows []int32, posts [][]int32) { emit(&chunks[m], rows, posts) })
+	})
+	return chunks
+}
+
+// restoreLeftOrder turns the pairs of a left-side build — (logical left,
+// physical right), emitted in right-input order — into the nested-loop
+// sequence: one stable counting pass keyed by the logical left row, so
+// each left row's matches keep right-input order. The count array is
+// sized by the left input's logical cardinality nl. With outer, a left
+// row without matches keeps one slot, padded by ri = -1; pairs with
+// li = -1 (the unmatched right rows of a full outerjoin) follow last, in
+// right-input order. The returned lidx are logical.
+func restoreLeftOrder(nl int, chunks []idxPairs, outer bool) (lidx, ridx []int32) {
+	next := make([]int32, nl)
+	total, unmatched := 0, nl
+	for _, c := range chunks {
+		total += len(c.li)
+		for _, li := range c.li {
+			if li >= 0 {
+				if next[li] == 0 {
+					unmatched--
+				}
+				next[li]++
+			}
+		}
+	}
+	if outer {
+		total += unmatched
+	}
+	lidx = make([]int32, total)
+	ridx = make([]int32, total)
+	// Exclusive prefix sums: next[j] becomes left row j's first slot.
+	off := int32(0)
+	for j, n := range next {
+		next[j] = off
+		if n == 0 && outer {
+			lidx[off], ridx[off] = int32(j), -1
+			n = 1
+		}
+		off += n
+	}
+	for _, c := range chunks {
+		for k, li := range c.li {
+			p := off
+			if li >= 0 {
+				p = next[li]
+				next[li]++
+			} else {
+				off++
+			}
+			lidx[p], ridx[p] = li, c.ri[k]
+		}
+	}
+	return lidx, ridx
+}
+
+// toPhys maps logical row indices of t to physical ones in place; -1
+// (padding) stays.
+func toPhys(t *ColTable, idx []int32) {
+	if t.Sel == nil {
+		return
+	}
+	for k, i := range idx {
+		if i >= 0 {
+			idx[k] = t.Sel[i]
+		}
+	}
+}
+
 // gatherConcat assembles the concatenated join output: left columns
-// gathered by lidx, right columns by ridx, one typed gather per column
-// (fanned out over the task scheduler when par). Index -1 reads the
-// corresponding pad value; a nil pad row means NULL padding.
+// gathered by lidx, right columns by ridx (physical indices), one typed
+// gather per column (fanned out over the task scheduler when par). Index
+// -1 reads the corresponding pad value; a nil pad row means NULL padding.
 func (e *Exec) gatherConcat(l, r *ColTable, lidx, ridx []int32, lpad, rpad Row, par bool) *ColTable {
 	out := &ColTable{Schema: l.Schema.Concat(r.Schema), N: len(lidx)}
 	lw := l.Schema.Len()
@@ -352,197 +466,152 @@ func selTable(t *ColTable, sel []int32) *ColTable {
 	return &ColTable{Schema: t.Schema, Cols: t.Cols, N: t.N, Sel: sel}
 }
 
-// BatchHashJoin is the inner equi-join l ⋈ r on the batch runtime.
-func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int) *ColTable {
-	par := e.parFor(max(l.Card(), r.Card()))
-	bld := e.buildHash(r, rk, par, l.Card())
-	n := l.Card()
-	nm := 1
-	if par {
-		nm = e.morselCount(n)
+// joinKind selects the variant hashJoin runs.
+type joinKind uint8
+
+const (
+	joinInner joinKind = iota
+	joinSemi
+	joinAnti
+	joinLeftOuter
+	joinFullOuter
+)
+
+// markAll sets the marks of a posting list. Every list is marked whole
+// by whoever marks its first row, so a set first mark means the rest is
+// (or, under a concurrent marker, will be by the barrier) set too.
+func markAll(marks []atomic.Bool, posts []int32) {
+	if len(posts) == 0 || marks[posts[0]].Load() {
+		return
 	}
-	chunks := make([]idxPairs, nm)
-	work := func(m, lo, hi int) {
-		var p idxPairs
-		e.probePostings(l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
-			for k, i := range rows {
-				for _, ri := range posts[k] {
-					p.li = append(p.li, i)
-					p.ri = append(p.ri, ri)
+	for _, i := range posts {
+		marks[i].Store(true)
+	}
+}
+
+// hashJoin runs every hash join but the groupjoin. It builds on the
+// input with fewer logical rows (ties: the right one) — a decision on
+// sizes alone, both inputs being materialized — and probes with the
+// other; both orientations produce the same output sequence. lpad/rpad
+// pad the unmatched rows of the outerjoins (nil: NULL padding).
+func (e *Exec) hashJoin(kind joinKind, l, r *ColTable, lk, rk []int, lpad, rpad Row) *ColTable {
+	par := e.parFor(max(l.Card(), r.Card()))
+	outer := kind == joinLeftOuter || kind == joinFullOuter
+	// The Bloom filter pays only where unmatched probe rows are dropped.
+	filter := func(probe *ColTable, keepsAll bool) int {
+		if keepsAll {
+			return -1 // every probe row is emitted: nothing to skip
+		}
+		return probe.Card()
+	}
+	if l.Card() < r.Card() {
+		bld := e.buildHash(l, lk, par, filter(r, kind == joinFullOuter))
+		if kind == joinSemi || kind == joinAnti {
+			marks := make([]atomic.Bool, l.Card())
+			e.probeMorsels(r, rk, bld, par, func(_ *idxPairs, rows []int32, posts [][]int32) {
+				for k := range rows {
+					markAll(marks, posts[k])
+				}
+			})
+			var sel []int32
+			for j := range marks {
+				if marks[j].Load() == (kind == joinSemi) {
+					sel = append(sel, l.phys(j))
+				}
+			}
+			return selTable(l, sel)
+		}
+		chunks := e.probeMorsels(r, rk, bld, par, func(c *idxPairs, rows []int32, posts [][]int32) {
+			for k, ri := range rows {
+				if len(posts[k]) == 0 && kind == joinFullOuter {
+					c.add(-1, ri)
+				}
+				for _, li := range posts[k] {
+					c.add(li, ri)
 				}
 			}
 		})
-		chunks[m] = p
+		lidx, ridx := restoreLeftOrder(l.Card(), chunks, outer)
+		toPhys(l, lidx)
+		return e.gatherConcat(l, r, lidx, ridx, lpad, rpad, par)
 	}
-	if par {
-		e.forMorsels(n, work)
-	} else {
-		work(0, 0, n)
+	bld := e.buildHash(r, rk, par, filter(l, outer))
+	var matched []atomic.Bool
+	if kind == joinFullOuter {
+		matched = make([]atomic.Bool, r.Card())
 	}
+	chunks := e.probeMorsels(l, lk, bld, par, func(c *idxPairs, rows []int32, posts [][]int32) {
+		for k, i := range rows {
+			switch {
+			case kind == joinSemi || kind == joinAnti:
+				// Dead rows resolve to nil postings, so the antijoin
+				// keeps NULL-key rows: strict equality matches them to
+				// nothing.
+				if (len(posts[k]) > 0) == (kind == joinSemi) {
+					c.li = append(c.li, i)
+				}
+				continue
+			case len(posts[k]) == 0 && outer:
+				c.add(i, -1)
+			}
+			for _, ri := range posts[k] {
+				c.add(i, ri)
+			}
+			if matched != nil {
+				markAll(matched, posts[k])
+			}
+		}
+	})
 	lidx, ridx := concatPairs(chunks)
-	return e.gatherConcat(l, r, lidx, ridx, nil, nil, par)
+	if kind == joinSemi || kind == joinAnti {
+		return selTable(l, lidx)
+	}
+	for j := range matched {
+		if !matched[j].Load() {
+			lidx = append(lidx, -1)
+			ridx = append(ridx, int32(j))
+		}
+	}
+	toPhys(r, ridx)
+	return e.gatherConcat(l, r, lidx, ridx, lpad, rpad, par)
+}
+
+// BatchHashJoin is the inner equi-join l ⋈ r.
+func (e *Exec) BatchHashJoin(l, r *ColTable, lk, rk []int) *ColTable {
+	return e.hashJoin(joinInner, l, r, lk, rk, nil, nil)
 }
 
 // BatchHashSemiJoin is the left semijoin l ⋉ r: a pure selection-vector
 // operation, zero row copies.
 func (e *Exec) BatchHashSemiJoin(l, r *ColTable, lk, rk []int) *ColTable {
-	par := e.parFor(max(l.Card(), r.Card()))
-	bld := e.buildHash(r, rk, par, l.Card())
-	n := l.Card()
-	nm := 1
-	if par {
-		nm = e.morselCount(n)
-	}
-	chunks := make([][]int32, nm)
-	work := func(m, lo, hi int) {
-		var sel []int32
-		e.probePostings(l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
-			for k, i := range rows {
-				if len(posts[k]) > 0 {
-					sel = append(sel, i)
-				}
-			}
-		})
-		chunks[m] = sel
-	}
-	if par {
-		e.forMorsels(n, work)
-	} else {
-		work(0, 0, n)
-	}
-	var sel []int32
-	for _, c := range chunks {
-		sel = append(sel, c...)
-	}
-	return selTable(l, sel)
+	return e.hashJoin(joinSemi, l, r, lk, rk, nil, nil)
 }
 
 // BatchHashAntiJoin is the left antijoin l ▷ r: a selection keeping rows
 // without a partner (NULL-key rows included — strict equality matches
 // them to nothing).
 func (e *Exec) BatchHashAntiJoin(l, r *ColTable, lk, rk []int) *ColTable {
-	par := e.parFor(max(l.Card(), r.Card()))
-	bld := e.buildHash(r, rk, par, l.Card())
-	n := l.Card()
-	nm := 1
-	if par {
-		nm = e.morselCount(n)
-	}
-	chunks := make([][]int32, nm)
-	work := func(m, lo, hi int) {
-		var sel []int32
-		e.probePostings(l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
-			for k, i := range rows {
-				// Dead rows resolve to nil postings, so NULL-key rows are
-				// kept — strict equality matches them to nothing.
-				if len(posts[k]) == 0 {
-					sel = append(sel, i)
-				}
-			}
-		})
-		chunks[m] = sel
-	}
-	if par {
-		e.forMorsels(n, work)
-	} else {
-		work(0, 0, n)
-	}
-	var sel []int32
-	for _, c := range chunks {
-		sel = append(sel, c...)
-	}
-	return selTable(l, sel)
+	return e.hashJoin(joinAnti, l, r, lk, rk, nil, nil)
 }
 
-// BatchHashLeftOuter is the left outerjoin on the batch runtime. pad must
-// be a full row over r's schema.
+// BatchHashLeftOuter is the left outerjoin. pad must be a full row over
+// r's schema.
 func (e *Exec) BatchHashLeftOuter(l, r *ColTable, lk, rk []int, pad Row) *ColTable {
-	par := e.parFor(max(l.Card(), r.Card()))
-	bld := e.buildHash(r, rk, par, -1)
-	n := l.Card()
-	nm := 1
-	if par {
-		nm = e.morselCount(n)
-	}
-	chunks := make([]idxPairs, nm)
-	work := func(m, lo, hi int) {
-		var p idxPairs
-		e.probePostings(l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
-			for k, i := range rows {
-				if len(posts[k]) == 0 {
-					p.li = append(p.li, i)
-					p.ri = append(p.ri, -1)
-					continue
-				}
-				for _, ri := range posts[k] {
-					p.li = append(p.li, i)
-					p.ri = append(p.ri, ri)
-				}
-			}
-		})
-		chunks[m] = p
-	}
-	if par {
-		e.forMorsels(n, work)
-	} else {
-		work(0, 0, n)
-	}
-	lidx, ridx := concatPairs(chunks)
-	return e.gatherConcat(l, r, lidx, ridx, nil, pad, par)
+	return e.hashJoin(joinLeftOuter, l, r, lk, rk, nil, pad)
 }
 
-// BatchHashFullOuter is the full outerjoin on the batch runtime. Matched
-// build rows are marked through atomics (false→true only, so concurrent
-// marking is order-independent); the unmatched right rows are appended
-// after the probe barrier in build-input order.
+// BatchHashFullOuter is the full outerjoin: left rows in order with
+// their matches or padding, then the unmatched right rows in right-input
+// order.
 func (e *Exec) BatchHashFullOuter(l, r *ColTable, lk, rk []int, lpad, rpad Row) *ColTable {
-	par := e.parFor(max(l.Card(), r.Card()))
-	bld := e.buildHash(r, rk, par, -1)
-	n := l.Card()
-	nm := 1
-	if par {
-		nm = e.morselCount(n)
-	}
-	matched := make([]atomic.Bool, r.N)
-	chunks := make([]idxPairs, nm)
-	work := func(m, lo, hi int) {
-		var p idxPairs
-		e.probePostings(l, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
-			for k, i := range rows {
-				if len(posts[k]) == 0 {
-					p.li = append(p.li, i)
-					p.ri = append(p.ri, -1)
-					continue
-				}
-				for _, ri := range posts[k] {
-					matched[ri].Store(true)
-					p.li = append(p.li, i)
-					p.ri = append(p.ri, ri)
-				}
-			}
-		})
-		chunks[m] = p
-	}
-	if par {
-		e.forMorsels(n, work)
-	} else {
-		work(0, 0, n)
-	}
-	lidx, ridx := concatPairs(chunks)
-	for j := 0; j < r.Card(); j++ {
-		ri := r.phys(j)
-		if !matched[ri].Load() {
-			lidx = append(lidx, -1)
-			ridx = append(ridx, ri)
-		}
-	}
-	return e.gatherConcat(l, r, lidx, ridx, lpad, rpad, par)
+	return e.hashJoin(joinFullOuter, l, r, lk, rk, lpad, rpad)
 }
 
 // BatchHashGroupJoin is the groupjoin on the batch runtime: every left
 // row is extended by the vector's aggregates over its partner bucket,
 // folded in build-input order through the shared accumulator core
-// (updateVals), so results equal the reference GroupJoin's.
+// (updateVals), so results equal the reference GroupJoin's. It always
+// builds on the right: the right buckets are what each left row folds.
 func (e *Exec) BatchHashGroupJoin(l, r *ColTable, lk, rk []int, f aggfn.Vector) *ColTable {
 	bound := BindVector(f, r.Schema)
 	names := append(append([]string(nil), l.Schema.Names()...), f.Outs()...)
@@ -551,33 +620,27 @@ func (e *Exec) BatchHashGroupJoin(l, r *ColTable, lk, rk []int, f aggfn.Vector) 
 	lc := l.Compact() // output appends dense agg columns alongside l's
 	n := lc.Card()
 	aggRows := make([][]Value, n)
-	work := func(m, lo, hi int) {
+	e.probeMorsels(lc, lk, bld, par, func(_ *idxPairs, rows []int32, posts [][]int32) {
 		var scratch []byte
 		cells := make([]aggCell, len(bound))
-		e.probePostings(lc, lk, bld, lo, hi, func(rows []int32, posts [][]int32) {
-			for k, i := range rows {
-				for c := range cells {
-					cells[c] = aggCell{}
-				}
-				for _, ri := range posts[k] {
-					for c := range bound {
-						a := &bound[c]
-						cells[c].updateVals(a, colValue(r, a.Arg, ri), colValue(r, a.Arg2, ri), colValue(r, a.Wgt, ri), &scratch)
-					}
-				}
-				vals := make([]Value, len(bound))
-				for c := range bound {
-					vals[c] = cells[c].final(&bound[c])
-				}
-				aggRows[i] = vals // lc is dense: physical row == logical row
+		for k, i := range rows {
+			for c := range cells {
+				cells[c] = aggCell{}
 			}
-		})
-	}
-	if par {
-		e.forMorsels(n, work)
-	} else {
-		work(0, 0, n)
-	}
+			for _, ri := range posts[k] {
+				ri := r.phys(int(ri))
+				for c := range bound {
+					a := &bound[c]
+					cells[c].updateVals(a, colValue(r, a.Arg, ri), colValue(r, a.Arg2, ri), colValue(r, a.Wgt, ri), &scratch)
+				}
+			}
+			vals := make([]Value, len(bound))
+			for c := range bound {
+				vals[c] = cells[c].final(&bound[c])
+			}
+			aggRows[i] = vals // lc is dense: physical row == logical row
+		}
+	})
 	out := &ColTable{Schema: NewSchema(names), N: n}
 	out.Cols = make([]Vector, len(names))
 	copy(out.Cols, lc.Cols)

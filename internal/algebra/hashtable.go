@@ -240,7 +240,7 @@ func (t *intTable) fillBloom(f *bloomFilter) {
 
 func (t *intTable) record(hs *HashStats) {
 	if hs != nil {
-		hs.recordTable(t.n, len(t.slots), t.maxProbe)
+		hs.recordTable(t.n, len(t.slots), t.maxProbe, t.rows)
 	}
 }
 
@@ -418,7 +418,7 @@ func (t *bytesTable) fillBloom(f *bloomFilter) {
 
 func (t *bytesTable) record(hs *HashStats) {
 	if hs != nil {
-		hs.recordTable(t.n, len(t.slots), t.maxProbe)
+		hs.recordTable(t.n, len(t.slots), t.maxProbe, t.rows)
 	}
 }
 
@@ -511,7 +511,7 @@ func (x *intIndex) grow() {
 
 func (x *intIndex) record(hs *HashStats) {
 	if hs != nil {
-		hs.recordTable(x.n, len(x.ids), x.maxProbe)
+		hs.recordTable(x.n, len(x.ids), x.maxProbe, 0)
 	}
 }
 
@@ -611,7 +611,7 @@ func (x *bytesIndex) grow() {
 
 func (x *bytesIndex) record(hs *HashStats) {
 	if hs != nil {
-		hs.recordTable(x.n, len(x.slots), x.maxProbe)
+		hs.recordTable(x.n, len(x.slots), x.maxProbe, 0)
 	}
 }
 
@@ -623,8 +623,8 @@ const bloomBitsPerKey = 8
 const bloomMinBits = 256
 
 // bloomProbeBuildRatio gates the filter: it pays only when many probe
-// keys miss, which the planner's cardinalities signal as a probe side
-// much larger than the build side.
+// keys miss, which a probing input with many rows per distinct build key
+// signals.
 const bloomProbeBuildRatio = 8
 
 // bloomFilter is a split two-probe Bloom filter over cached 64-bit key
@@ -663,9 +663,9 @@ func (f *bloomFilter) mayContain(h uint64) bool {
 }
 
 // buildBloom decides the optional build-side filter for a join: non-nil
-// when the estimated probe/build ratio clears bloomProbeBuildRatio
-// (probeCard < 0 disables — outer joins emit every probe row anyway, so
-// a filter saves nothing there).
+// when the probing input's row count per distinct build key clears
+// bloomProbeBuildRatio (probeCard < 0 disables — outer joins emit every
+// probe row anyway, so a filter saves nothing there).
 func buildBloom(buildCard, probeCard int) *bloomFilter {
 	if probeCard >= 0 && probeCard >= bloomProbeBuildRatio*max(buildCard, 1) {
 		return newBloom(buildCard)
@@ -674,24 +674,29 @@ func buildBloom(buildCard, probeCard int) *bloomFilter {
 }
 
 // HashStats aggregates hash-table telemetry across one execution:
-// every table/index build records its geometry here, every bloom-
-// filtered probe its check/pass counts. All counters are atomic — builds
+// every table/index build records its geometry here (join tables also
+// their postings), every bloom-filtered probe its check/pass counts. All counters are atomic — builds
 // finish inside forParts fan-outs. A nil *HashStats disables recording.
 type HashStats struct {
 	builds      atomic.Int64
 	entries     atomic.Int64
+	buildRows   atomic.Int64
 	capacity    atomic.Int64
 	maxProbe    atomic.Int64
 	bloomChecks atomic.Int64
 	bloomPasses atomic.Int64
 }
 
-func (hs *HashStats) recordTable(entries, capacity, maxProbe int) {
+// recordTable records one build: its distinct keys, slot count, worst
+// probe sequence and postings (0 for the group indexes, which hold ids,
+// not postings).
+func (hs *HashStats) recordTable(entries, capacity, maxProbe, rows int) {
 	if hs == nil {
 		return
 	}
 	hs.builds.Add(1)
 	hs.entries.Add(int64(entries))
+	hs.buildRows.Add(int64(rows))
 	hs.capacity.Add(int64(capacity))
 	for {
 		cur := hs.maxProbe.Load()
@@ -717,6 +722,7 @@ func (hs *HashStats) Snapshot() HashTableStats {
 	return HashTableStats{
 		Builds:      hs.builds.Load(),
 		Entries:     hs.entries.Load(),
+		BuildRows:   hs.buildRows.Load(),
 		Capacity:    hs.capacity.Load(),
 		MaxProbe:    hs.maxProbe.Load(),
 		BloomChecks: hs.bloomChecks.Load(),
@@ -726,11 +732,13 @@ func (hs *HashStats) Snapshot() HashTableStats {
 
 // HashTableStats is a point-in-time view of HashStats: how many flat
 // tables were built, their summed entries and capacities (the quotient
-// is the mean load factor), the worst probe sequence any build walked,
-// and the Bloom filter's check/pass traffic.
+// is the mean load factor), the postings the join builds inserted, the
+// worst probe sequence any build walked, and the Bloom filter's
+// check/pass traffic.
 type HashTableStats struct {
 	Builds      int64
 	Entries     int64
+	BuildRows   int64
 	Capacity    int64
 	MaxProbe    int64
 	BloomChecks int64

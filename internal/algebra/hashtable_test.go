@@ -319,8 +319,9 @@ func bloomJoinTables(strKeys bool) (l, r *Table) {
 // TestBloomJoinsMatchRow pins bloom safety end to end: with the filter
 // demonstrably active (BloomChecks > 0), inner/semi/anti results equal
 // the reference operators' — on the int fast path, the encoded
-// sequential path and the partitioned parallel path — and the outer
-// joins never consult a filter.
+// sequential path and the partitioned parallel path, with the small
+// input on either side — and outerjoins consult a filter only when
+// they drop unmatched probe rows.
 func TestBloomJoinsMatchRow(t *testing.T) {
 	for _, strKeys := range []bool{false, true} {
 		l, r := bloomJoinTables(strKeys)
@@ -339,9 +340,16 @@ func TestBloomJoinsMatchRow(t *testing.T) {
 			sameAsRef(t, prefix+"/join", Join(lr, rr, pred), e.BatchHashJoin(lc, rc, lk, rk))
 			sameAsRef(t, prefix+"/semi", SemiJoin(lr, rr, pred), e.BatchHashSemiJoin(lc, rc, lk, rk))
 			sameAsRef(t, prefix+"/anti", AntiJoin(lr, rr, pred), e.BatchHashAntiJoin(lc, rc, lk, rk))
+			// Swapped: the small input is on the left, so the joins build
+			// there and the gate must see the right input's row count.
+			swapped := EqAttr("rk", "lk")
+			sameAsRef(t, prefix+"/swapped-join", Join(rr, lr, swapped), e.BatchHashJoin(rc, lc, rk, lk))
+			sameAsRef(t, prefix+"/swapped-semi", SemiJoin(rr, lr, swapped), e.BatchHashSemiJoin(rc, lc, rk, lk))
+			sameAsRef(t, prefix+"/swapped-anti", AntiJoin(rr, lr, swapped), e.BatchHashAntiJoin(rc, lc, rk, lk))
 			snap := hs.Snapshot()
-			if snap.BloomChecks == 0 {
-				t.Fatalf("%s: bloom never consulted (checks=0) — the gate regressed", prefix)
+			if snap.BloomChecks != 6*int64(lc.Card()) {
+				t.Fatalf("%s: bloom consulted %d times, want every probe of the six joins (%d) — the gate regressed",
+					prefix, snap.BloomChecks, 6*lc.Card())
 			}
 			if snap.BloomPasses >= snap.BloomChecks {
 				t.Fatalf("%s: bloom filtered nothing (%d/%d)", prefix, snap.BloomPasses, snap.BloomChecks)
@@ -350,13 +358,24 @@ func TestBloomJoinsMatchRow(t *testing.T) {
 				t.Fatalf("%s: no table builds recorded", prefix)
 			}
 
-			// Outer joins emit every probe row — no filter, no checks.
+			// Outer joins that emit every probe row — the left rows of
+			// a left outerjoin built on the right, the right rows of a
+			// full outerjoin built on the left — consult no filter.
 			hs2 := &HashStats{}
 			e2 := e.WithHashStats(hs2)
 			pad := NullRow(r.Schema)
 			e2.BatchHashLeftOuter(lc, rc, lk, rk, pad)
+			e2.BatchHashFullOuter(rc, lc, rk, lk, nil, NullRow(l.Schema))
 			if got := hs2.Snapshot().BloomChecks; got != 0 {
-				t.Fatalf("%s: left outer consulted a bloom filter (%d checks)", prefix, got)
+				t.Fatalf("%s: an outerjoin emitting every probe row consulted a bloom filter (%d checks)", prefix, got)
+			}
+			// A left outerjoin built on its small left input drops the
+			// unmatched right rows, so it filters them.
+			hs3 := &HashStats{}
+			sameAsRef(t, prefix+"/swapped-leftouter",
+				LeftOuter(rr, lr, swapped, nil), e.WithHashStats(hs3).BatchHashLeftOuter(rc, lc, rk, lk, NullRow(l.Schema)))
+			if got := hs3.Snapshot().BloomChecks; got != int64(lc.Card()) {
+				t.Fatalf("%s: swapped left outer made %d bloom checks, want %d", prefix, got, lc.Card())
 			}
 		}
 	}
@@ -400,11 +419,11 @@ func TestGrowUnderParallelScatterDeterminism(t *testing.T) {
 // builds report through it (joins are covered by TestBloomJoinsMatchRow).
 func TestHashStatsRecording(t *testing.T) {
 	hs := &HashStats{}
-	hs.recordTable(6, 8, 3)
-	hs.recordTable(2, 8, 5)
+	hs.recordTable(6, 8, 3, 10)
+	hs.recordTable(2, 8, 5, 0)
 	hs.recordBloom(100, 25)
 	s := hs.Snapshot()
-	if s.Builds != 2 || s.Entries != 8 || s.Capacity != 16 || s.MaxProbe != 5 {
+	if s.Builds != 2 || s.Entries != 8 || s.Capacity != 16 || s.MaxProbe != 5 || s.BuildRows != 10 {
 		t.Fatalf("snapshot %+v", s)
 	}
 	if s.LoadFactor() != 0.5 {

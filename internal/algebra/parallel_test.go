@@ -258,10 +258,10 @@ func TestPartitionedBuildMatchesBuildSide(t *testing.T) {
 		if pb.pt == nil {
 			t.Fatal("parallel build is not partitioned")
 		}
-		if got, want := builtKeys(pb), builtKeys(sb); got != want {
+		if got, want := pb.distinct(), sb.distinct(); got != want {
 			t.Fatalf("partitioned table has %d keys, sequential %d", got, want)
 		}
-		if got, want := builtKeys(sb), distinctBuildKeys(r, rk); got != want {
+		if got, want := sb.distinct(), distinctBuildKeys(r, rk); got != want {
 			t.Fatalf("sequential table has %d keys, model %d", got, want)
 		}
 		checkPostings(t, fmt.Sprintf("trial %d sequential", trial), seq, sb, r, r, rk, rk)

@@ -84,7 +84,7 @@ func TestExecStatsHashTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batch.Hash.Builds == 0 || batch.Hash.Entries == 0 {
+	if batch.Hash.Builds == 0 || batch.Hash.Entries == 0 || batch.Hash.BuildRows == 0 {
 		t.Fatalf("execution reported no flat-table builds: %+v", batch.Hash)
 	}
 	if lf := batch.Hash.LoadFactor(); lf <= 0 || lf > 0.75 {

@@ -149,7 +149,7 @@ type ExecStats struct {
 	// the binder, so keys are recorded at operator-completion time.
 	Ops []OpCard
 	// Hash aggregates the flat hash-table telemetry of the execution
-	// (hash builds, group indexes and bloom-filtered probes).
+	// (hash builds, group indexes, build rows and bloom-filtered probes).
 	Hash algebra.HashTableStats
 }
 

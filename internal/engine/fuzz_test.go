@@ -32,6 +32,17 @@ func FuzzExecEquivalence(f *testing.F) {
 	f.Add(int64(7), uint8(5), uint8(6), uint8(2))
 	f.Add(int64(-12345), uint8(4), uint8(3), uint8(3))
 	f.Add(int64(987654321), uint8(6), uint8(5), uint8(4))
+	// Two relations of 1 and 5-6 rows, so the hash join builds on its
+	// left input (1-row left) or its right one (1-row right): inner,
+	// left-outer, semi and anti with the small input on the left, inner
+	// and full-outer both ways round.
+	f.Add(int64(7), uint8(0), uint8(5), uint8(0))   // join, 1 ⋈ 6
+	f.Add(int64(222), uint8(0), uint8(5), uint8(0)) // join, 6 ⋈ 1
+	f.Add(int64(304), uint8(0), uint8(5), uint8(0)) // left outer, 1 ⟕ 6
+	f.Add(int64(943), uint8(0), uint8(5), uint8(0)) // full outer, 1 ⟗ 6
+	f.Add(int64(454), uint8(0), uint8(5), uint8(0)) // full outer, 6 ⟗ 1
+	f.Add(int64(18), uint8(0), uint8(5), uint8(0))  // semijoin, 1 ⋉ 5
+	f.Add(int64(90), uint8(0), uint8(5), uint8(0))  // antijoin, 1 ▷ 5
 
 	algs := []core.Options{
 		{Algorithm: core.AlgDPhyp},

@@ -87,6 +87,7 @@ func annotateSpan(tr *obs.Trace, id int, p *plan.Plan, hs *algebra.HashStats, be
 	if builds := after.Builds - before.Builds; builds > 0 {
 		tr.Annotatef(id, "ht_builds", "%d", builds)
 		tr.Annotatef(id, "ht_entries", "%d", after.Entries-before.Entries)
+		tr.Annotatef(id, "ht_build_rows", "%d", after.BuildRows-before.BuildRows)
 	}
 	if checks := after.BloomChecks - before.BloomChecks; checks > 0 {
 		tr.Annotatef(id, "bloom_checks", "%d", checks)

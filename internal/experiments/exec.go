@@ -48,7 +48,8 @@ type ExecRow struct {
 	// zero for pure hash plans.
 	SortsPerformed, SortsEliminated int
 	// Hash is the flat hash-table telemetry of the execution: builds,
-	// mean load factor, worst probe distance and bloom-filter traffic.
+	// mean load factor, worst probe distance, build rows and
+	// bloom-filter traffic.
 	// Zero Builds for plans without a hash operator.
 	Hash algebra.HashTableStats
 	// Match reports result equality against the canonical evaluation.
@@ -191,13 +192,14 @@ func (r *ExecReport) AllMatch() bool {
 // expose the per-operator cardinality profile: the plan-level aggregate
 // plus the worst single operator (value and the operator it occurs at).
 // The hash-table columns (mean load factor, worst probe distance, bloom
-// pass rate) profile the flat tables of the batch runtime; "-" means no
-// flat table (or no bloom filter) was built.
+// pass rate, postings the join builds inserted) profile the flat tables
+// of the batch runtime; "-" means no flat table (or no bloom filter) was
+// built.
 func (r *ExecReport) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Execution: optimized vs canonical plans on synthetic TPC-H data (scale factor %g, workers %d, phys %v)\n", r.Factor, r.Workers, r.Phys)
-	fmt.Fprintf(&b, "%-6s %-15s %4s %7s %10s %10s %12s %12s %12s %7s %6s %5s %8s %9s %6s  %s\n",
-		"query", "plan", "Γ", "sorts", "ms", "rows", "C_out act", "C_out est", "rows/s", "ht-load", "probe≤", "bloom", "q-err", "worst-op", "match", "worst operator")
+	fmt.Fprintf(&b, "%-6s %-15s %4s %7s %10s %10s %12s %12s %12s %7s %6s %5s %9s %8s %9s %6s  %s\n",
+		"query", "plan", "Γ", "sorts", "ms", "rows", "C_out act", "C_out est", "rows/s", "ht-load", "probe≤", "bloom", "ht-rows", "q-err", "worst-op", "match", "worst operator")
 	var names []string
 	seen := map[string]bool{}
 	for _, row := range r.Rows {
@@ -230,17 +232,18 @@ func (r *ExecReport) Format() string {
 			}
 			// hash-table columns: flat-table builds happen only on the
 			// batch runtime; a bloom rate only when a filter was gated in.
-			htLoad, htProbe, htBloom := "-", "-", "-"
+			htLoad, htProbe, htBloom, htRows := "-", "-", "-", "-"
 			if row.Hash.Builds > 0 {
 				htLoad = fmt.Sprintf("%.2f", row.Hash.LoadFactor())
 				htProbe = fmt.Sprintf("%d", row.Hash.MaxProbe)
+				htRows = fmt.Sprintf("%d", row.Hash.BuildRows)
 				if row.Hash.BloomChecks > 0 {
 					htBloom = fmt.Sprintf("%.0f%%", 100*row.Hash.BloomPassRate())
 				}
 			}
-			fmt.Fprintf(&b, "%-6s %-15s %4d %7s %10.2f %10d %12.0f %12.0f %12.0f %7s %6s %5s %s %s %6s  %s\n",
+			fmt.Fprintf(&b, "%-6s %-15s %4d %7s %10.2f %10d %12.0f %12.0f %12.0f %7s %6s %5s %9s %s %s %6s  %s\n",
 				row.Query, row.Plan, row.Groupings, sorts, row.Millis, row.ResultRows,
-				row.ActualCout, row.EstimatedCout, row.RowsPerSec, htLoad, htProbe, htBloom, qerr, worst, match, row.WorstOp)
+				row.ActualCout, row.EstimatedCout, row.RowsPerSec, htLoad, htProbe, htBloom, htRows, qerr, worst, match, row.WorstOp)
 		}
 		fmt.Fprintf(&b, "%-6s %-15s %4s %7s %10.2f   (canonical evaluation of the initial tree)\n",
 			name, "canonical", "-", "-", r.CanonMillis[name])
